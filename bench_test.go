@@ -230,23 +230,16 @@ func BenchmarkTrainEpoch(b *testing.B) {
 
 // BenchmarkEstimateLatency measures a single ad-hoc estimate (Figure 1b:
 // "fast to query (within milliseconds)"). The loop cycles through JOB-light
-// so caching cannot flatter the number. One sub-benchmark per inference
-// engine precision, on a clone so the shared fixture stays f64.
+// so caching cannot flatter the number.
 func BenchmarkEstimateLatency(b *testing.B) {
 	f := fixtureB(b)
-	for _, eng := range []deepsketch.EnginePrecision{deepsketch.EngineF64, deepsketch.EngineF32} {
-		sk := f.sketch.Clone()
-		sk.SetEnginePrecision(eng)
-		b.Run("engine="+eng.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lq := f.joblight[i%len(f.joblight)]
-				if _, err := sk.Cardinality(lq.Query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lq := f.joblight[i%len(f.joblight)]
+		if _, err := f.sketch.Cardinality(lq.Query); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_baseline.json", "checked-in baseline artifact")
 	current := flag.String("current", "BENCH_deepsketch.json", "freshly emitted artifact")
 	maxRegress := flag.Float64("max-regress", 0.25, "tolerated fractional latency increase before a metric counts as regressed")
-	metrics := flag.String("metrics", "estimate_latency_us,estimate_latency_f32_us", "comma-separated lower-is-better metrics to compare")
+	metrics := flag.String("metrics", "estimate_latency_us", "comma-separated lower-is-better metrics to compare")
 	strict := flag.Bool("strict", false, "exit non-zero on regression (for same-runner-class comparisons)")
 	flag.Parse()
 

@@ -6,24 +6,24 @@ import (
 )
 
 func TestCompare(t *testing.T) {
-	base := map[string]float64{"estimate_latency_us": 20, "estimate_latency_f32_us": 10}
-	keys := []string{"estimate_latency_us", "estimate_latency_f32_us"}
+	base := map[string]float64{"estimate_latency_us": 20, "train_epoch_ms": 10}
+	keys := []string{"estimate_latency_us", "train_epoch_ms"}
 
 	// Within threshold either way: no findings.
-	regs, imps := compare(base, map[string]float64{"estimate_latency_us": 24, "estimate_latency_f32_us": 8}, keys, 0.25)
+	regs, imps := compare(base, map[string]float64{"estimate_latency_us": 24, "train_epoch_ms": 8}, keys, 0.25)
 	if len(regs) != 0 || len(imps) != 0 {
 		t.Errorf("within threshold: regs=%v imps=%v", regs, imps)
 	}
 
 	// >25% slower on one metric: exactly that metric regresses.
-	regs, _ = compare(base, map[string]float64{"estimate_latency_us": 26, "estimate_latency_f32_us": 10}, keys, 0.25)
+	regs, _ = compare(base, map[string]float64{"estimate_latency_us": 26, "train_epoch_ms": 10}, keys, 0.25)
 	if len(regs) != 1 || !strings.Contains(regs[0], "estimate_latency_us") {
 		t.Errorf("regression not flagged: %v", regs)
 	}
 
 	// >25% faster: reported as an improvement, not a regression.
-	regs, imps = compare(base, map[string]float64{"estimate_latency_us": 20, "estimate_latency_f32_us": 7}, keys, 0.25)
-	if len(regs) != 0 || len(imps) != 1 || !strings.Contains(imps[0], "f32") {
+	regs, imps = compare(base, map[string]float64{"estimate_latency_us": 20, "train_epoch_ms": 7}, keys, 0.25)
+	if len(regs) != 0 || len(imps) != 1 || !strings.Contains(imps[0], "train_epoch_ms") {
 		t.Errorf("improvement not flagged: regs=%v imps=%v", regs, imps)
 	}
 

@@ -124,13 +124,7 @@ func main() {
 	pinnedRegress := flag.Float64("pinned-max-regress", deepsketch.DefaultPinnedMaxRegress, "pinned-benchmark rail tolerance: a refresh candidate's median and p95 q-error on the pinned set may each be at most this ratio × the live version's")
 	retainVersions := flag.Int("retain-versions", 0, "persisted non-live version files kept per sketch after a promote (0 = keep all)")
 	retainWALBytes := flag.Int64("retain-wal-bytes", 0, "WAL size budget; checkpointed segments are pruned down to it after a promote (0 = keep all)")
-	engineFlag := flag.String("engine", "f64", "inference precision for installed sketches: f64 (reference), f32 (reduced precision), int8 (experimental)")
 	flag.Parse()
-
-	engine, err := deepsketch.ParseEnginePrecision(*engineFlag)
-	if err != nil {
-		log.Fatalf("deepsketchd: %v", err)
-	}
 
 	driftCfg := deepsketch.DriftConfig{
 		SampleEvery: *driftSample, Window: *driftWindow,
@@ -166,11 +160,7 @@ func main() {
 		pinnedMaxRegress: *pinnedRegress,
 		retainVersions:   *retainVersions,
 		retainWALBytes:   *retainWALBytes,
-		engine:           engine,
 	})
-	if engine != deepsketch.EngineF64 {
-		log.Printf("deepsketchd: serving sketches on the %s inference engine", engine)
-	}
 	if !*driftTruth {
 		log.Printf("deepsketchd: exact executor off the serving path — ground truth via POST /api/sketches/{id}/actuals only")
 	}
@@ -308,10 +298,6 @@ type server struct {
 	// persisted and from which they are restored at startup.
 	store string
 
-	// engine is the inference precision applied to every sketch version the
-	// daemon installs (builds, uploads, refreshes, rollbacks, restores).
-	engine deepsketch.EnginePrecision
-
 	mu       sync.RWMutex
 	sketches map[int]*sketchEntry
 	nextID   int
@@ -363,9 +349,6 @@ type serverOptions struct {
 	// Missing files are generated from the dataset and persisted at boot.
 	pinnedDir        string
 	pinnedMaxRegress float64
-	// engine is the inference precision every installed sketch is switched
-	// to (zero value = EngineF64, the full-precision reference).
-	engine deepsketch.EnginePrecision
 }
 
 func newServer(titles, orders int, seed int64) *server {
@@ -397,7 +380,6 @@ func newServerOpts(opts serverOptions) *server {
 		walDelta:         opts.walDelta,
 		retainVersions:   opts.retainVersions,
 		retainWALBytes:   opts.retainWALBytes,
-		engine:           opts.engine,
 		sketches:         map[int]*sketchEntry{},
 		nextID:           1,
 	}
@@ -639,10 +621,6 @@ func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
 // and cache keys are version-aware, so a version change needs no stack
 // rebuild — the old version's cache lines simply stop being looked up.
 func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch, ver int, status, errMsg string) {
-	// Every install path funnels through here (build, upload, refresh,
-	// rollback, canary accept, store restore), so this is the one place the
-	// daemon's -engine precision is applied.
-	sk.SetEnginePrecision(s.engine)
 	s.mu.Lock()
 	if e.serving == nil {
 		d := s.datasets[e.Dataset]
@@ -1407,12 +1385,6 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// swap, canary split or rollback races the request.
 	if est.Version > 0 {
 		resp["version"] = est.Version
-	}
-	// Tag the inference precision that computed the answer ("f64", "f32",
-	// "int8"); cache hits keep the original computation's tag, non-model
-	// fallbacks have none.
-	if est.Engine != "" {
-		resp["engine"] = est.Engine
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

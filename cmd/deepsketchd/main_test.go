@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"deepsketch"
 )
 
 func testServer(t *testing.T) *server {
@@ -232,66 +230,6 @@ func TestEstimateAutoRouting(t *testing.T) {
 	}
 	if resp.Source != "PostgreSQL" {
 		t.Errorf("uncovered query source = %q, want PostgreSQL fallback", resp.Source)
-	}
-}
-
-// TestEngineFlagInstall builds a sketch on a server configured with the f32
-// inference engine (the -engine flag) and checks the precision is applied at
-// install time and surfaced in the estimate response.
-func TestEngineFlagInstall(t *testing.T) {
-	srv := newServerOpts(serverOptions{
-		titles: 800, orders: 400, seed: 3, driftTruth: true,
-		engine: deepsketch.EngineF32,
-	})
-	h := srv.routes()
-	rec := post(t, h, "/api/sketches", createReq{
-		Dataset: "imdb", Tables: []string{"title", "movie_keyword"},
-		SampleSize: 16, TrainQueries: 60, Epochs: 1, HiddenUnits: 8, Seed: 1,
-	})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("create status %d: %s", rec.Code, rec.Body)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		rec := get(t, h, "/api/sketches/1")
-		var st struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "failed" {
-			t.Fatal(st.Error)
-		}
-		if st.Status == "ready" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	srv.mu.RLock()
-	sk := srv.sketches[1].sketch
-	srv.mu.RUnlock()
-	if got := sk.EnginePrecision(); got != deepsketch.EngineF32 {
-		t.Fatalf("installed precision = %v, want f32", got)
-	}
-	rec = post(t, h, "/api/estimate", estimateReq{
-		SketchID: 1, SQL: "SELECT COUNT(*) FROM title t WHERE t.kind_id=1",
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("estimate status %d: %s", rec.Code, rec.Body)
-	}
-	var resp struct {
-		Engine string `json:"engine"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Engine != "f32" {
-		t.Errorf("estimate engine tag = %q, want f32", resp.Engine)
 	}
 }
 

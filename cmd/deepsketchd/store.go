@@ -25,9 +25,7 @@ import (
 // Version files are written once (a version's weights never change after
 // it is published); state.json is rewritten atomically (temp + rename) on
 // every live-pointer or canary transition, so a crash between the two
-// leaves a consistent store. Flat legacy <name>.dsk files from the
-// previous single-version layout still load (as a one-version history)
-// and migrate to the directory layout on their next persisted change.
+// leaves a consistent store.
 
 // storeState is the per-sketch state.json payload.
 type storeState struct {
@@ -92,9 +90,8 @@ func (s *server) persistState(e *sketchEntry) {
 	}
 }
 
-// loadStore restores every persisted sketch: directory layouts first
-// (full version history + live pointer + canary), then flat legacy .dsk
-// files (single version), skipping anything that fails to load.
+// loadStore restores every persisted sketch directory (full version
+// history + live pointer + canary), skipping anything that fails to load.
 func (s *server) loadStore() (int, error) {
 	entries, err := os.ReadDir(s.store)
 	if err != nil {
@@ -103,47 +100,15 @@ func (s *server) loadStore() (int, error) {
 		}
 		return 0, err
 	}
-	var dirs, flats []string
-	for _, ent := range entries {
-		switch {
-		case ent.IsDir():
-			dirs = append(dirs, ent.Name())
-		case strings.HasSuffix(ent.Name(), ".dsk"):
-			flats = append(flats, ent.Name())
-		}
-	}
-	sort.Strings(dirs)
-	sort.Strings(flats)
 	loaded := 0
-	for _, name := range dirs {
-		if err := s.loadVersionedDir(filepath.Join(s.store, name)); err != nil {
-			log.Printf("deepsketchd: skipping %s: %v", name, err)
+	for _, ent := range entries {
+		if !ent.IsDir() {
 			continue
 		}
-		loaded++
-	}
-	for _, name := range flats {
-		path := filepath.Join(s.store, name)
-		sk, err := deepsketch.LoadFile(path)
-		if err != nil {
-			log.Printf("deepsketchd: skipping %s: %v", path, err)
+		if err := s.loadVersionedDir(filepath.Join(s.store, ent.Name())); err != nil {
+			log.Printf("deepsketchd: skipping %s: %v", ent.Name(), err)
 			continue
 		}
-		if _, ok := s.datasets[sk.DBName]; !ok {
-			log.Printf("deepsketchd: skipping %s: unknown dataset %q", path, sk.DBName)
-			continue
-		}
-		e, err := s.register(sk.Name(), sk.DBName)
-		if err != nil {
-			// Typically: the directory layout already restored this name —
-			// the flat file is a leftover from the pre-versioned store.
-			log.Printf("deepsketchd: skipping %s: %v", path, err)
-			continue
-		}
-		s.markReady(e, sk)
-		s.mu.Lock()
-		e.Created = time.Now()
-		s.mu.Unlock()
 		loaded++
 	}
 	return loaded, nil
@@ -188,10 +153,6 @@ func (s *server) loadVersionedDir(dir string) error {
 		if sk.Name() != st.Name {
 			return fmt.Errorf("v%d.dsk is named %q, state says %q", ver, sk.Name(), st.Name)
 		}
-		// The live version passes through installVersion below, but a resumed
-		// canary serves traffic straight from the registry — set the daemon's
-		// engine precision on every restored version.
-		sk.SetEnginePrecision(s.engine)
 		found[ver] = sk
 		if ver > maxVer {
 			maxVer = ver

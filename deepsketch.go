@@ -160,28 +160,6 @@ const (
 	LossL1Log  = nn.LossL1Log
 )
 
-// EnginePrecision selects the numeric format of a sketch's MSCN inference
-// engine (Sketch.SetEnginePrecision). Training always stays float64; the
-// reduced-precision paths are inference-only, convert weight snapshots once
-// per weight version, and are gated on bounded q-error deviation vs the
-// f64 reference.
-type EnginePrecision = mscn.Precision
-
-// Inference engine precisions.
-const (
-	// EngineF64 is the full-precision reference path (default).
-	EngineF64 = mscn.F64
-	// EngineF32 halves weight memory traffic; per-query q-error deviation
-	// vs f64 is bounded <1% by the equivalence gate.
-	EngineF32 = mscn.F32
-	// EngineInt8 is the experimental per-layer-scaled quantized path.
-	EngineInt8 = mscn.Int8
-)
-
-// ParseEnginePrecision parses an -engine flag spelling ("f64", "f32",
-// "int8"); the empty string means f64.
-func ParseEnginePrecision(s string) (EnginePrecision, error) { return mscn.ParsePrecision(s) }
-
 // Dataset generator configs.
 type (
 	// IMDbConfig sizes the synthetic IMDb-like dataset.
@@ -201,7 +179,7 @@ type (
 // Router dispatches estimates across multiple registered sketches,
 // preferring the most specific covering sketch (the system answer to the
 // paper's open question of which schema parts to sketch). Sketches can be
-// swapped and unregistered under live traffic (Swap, Unregister), and
+// swapped and unregistered under live traffic (SwapVersion, Unregister), and
 // Generation exposes the mutation counter serving caches watch.
 type Router = router.Router
 

@@ -210,7 +210,7 @@ func TestPublicAPIFallbackToPostgres(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := deepsketch.NewRouter()
-	r.Register(sub)
+	r.RegisterVersion(sub, 0)
 	chain := deepsketch.Fallback(r, deepsketch.PostgresEstimator(d))
 	ctx := context.Background()
 

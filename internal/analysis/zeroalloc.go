@@ -7,7 +7,7 @@ import (
 )
 
 // ZeroAlloc checks that functions annotated //deepsketch:zeroalloc — the
-// packed forward kernels and the engine's steady-state dispatch — contain
+// packed forward kernels and the engine's Forward pass — contain
 // no allocating constructs: no make/new/append, no closures or go
 // statements, no slice/map composite literals, no string concatenation or
 // string<->[]byte conversions, no interface boxing, and no calls except

@@ -117,27 +117,12 @@ var _ estimator.Estimator = (*Sketch)(nil)
 // Name implements estimator.Estimator with the sketch's configured name.
 func (s *Sketch) Name() string { return s.Cfg.Name }
 
-// SetEnginePrecision selects the numeric format of the sketch's MSCN
-// inference engine (f64 reference, f32, or the experimental int8). Safe to
-// call on a serving sketch; in-flight estimates finish on the precision
-// they started with. Estimates are tagged with the precision that computed
-// them (Estimate.Engine).
-func (s *Sketch) SetEnginePrecision(p mscn.Precision) { s.Model.SetPrecision(p) }
-
-// EnginePrecision reports the current inference precision.
-func (s *Sketch) EnginePrecision() mscn.Precision { return s.Model.Precision() }
-
 // Estimate implements the sketch interface of Figure 1b for an already-
 // parsed query: evaluate base-table selections on the embedded samples,
 // featurize, one MSCN forward pass, denormalize. It implements
 // estimator.Estimator.
 func (s *Sketch) Estimate(ctx context.Context, q db.Query) (estimator.Estimate, error) {
-	est, err := estimator.Run(ctx, s.Name(), q, s.Cardinality)
-	if err != nil {
-		return est, err
-	}
-	est.Engine = s.Model.Precision().String()
-	return est, nil
+	return estimator.Run(ctx, s.Name(), q, s.Cardinality)
 }
 
 // Cardinality is the bare estimation path of Figure 1b, without the result
@@ -177,9 +162,8 @@ func (s *Sketch) EstimateBatch(ctx context.Context, qs []db.Query) ([]estimator.
 		per = time.Since(start) / time.Duration(len(qs))
 	}
 	out := make([]estimator.Estimate, len(cards))
-	engine := s.Model.Precision().String()
 	for i, c := range cards {
-		out[i] = estimator.Estimate{Cardinality: c, Source: s.Name(), Latency: per, Engine: engine}
+		out[i] = estimator.Estimate{Cardinality: c, Source: s.Name(), Latency: per}
 	}
 	return out, nil
 }

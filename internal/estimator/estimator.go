@@ -42,11 +42,6 @@ type Estimate struct {
 	// router, including a canary split). 0 means unversioned: a bare sketch,
 	// a traditional estimator, or a fallback backend.
 	Version int `json:"version,omitempty"`
-	// Engine tags the inference precision that computed the estimate
-	// ("f64", "f32", "int8") when the backend is an MSCN sketch; estimate
-	// caches preserve it, so a hit reports the precision of the original
-	// computation. Empty for non-model backends.
-	Engine string `json:"engine,omitempty"`
 }
 
 // Estimator is the single estimation entry point: anything that can

@@ -17,33 +17,21 @@ import (
 // forward pass performs zero heap allocations. It shares the model's weights
 // (read-only) with the tape-based training path and is safe for concurrent
 // use — every concurrent caller gets its own scratch from the pool. Obtain
-// one with Model.Engine (shared, cached) or NewEngine.
-//
-// The forward pass runs at the model's Precision: f64 directly on the
-// weights, f32/int8 on per-weight-generation converted snapshots
-// (engine32.go) so reduced precision never pays conversion per forward and
-// never serves stale weights after a Refresh/Swap.
+// one with Model.Engine (shared, cached) or NewEngine. The forward pass
+// reads the f64 weights directly, so a ReadWeights (Refresh/Swap) is
+// visible to the next prediction.
 type Engine struct {
 	m    *Model
 	pool sync.Pool // *engineScratch
-
-	// Reduced-precision weight snapshots, built lazily under convMu and
-	// tagged with the Model.WeightGen they were converted from.
-	convMu sync.Mutex
-	w32    atomic.Pointer[weights32]
-	w8     atomic.Pointer[weights8]
 }
 
 // engineScratch bundles the per-goroutine reusable state: a packed batch,
-// the forward workspaces (f64 and f32 — only the active precision's arena
-// grows), and small staging slices.
+// the forward workspace, and small staging slices.
 type engineScratch struct {
-	pb   PackedBatch
-	ws   nn.Workspace
-	ws32 nn.Workspace32
-	xq   []int8 // int8 path: per-layer quantized activations
-	out  []float64
-	one  [1]featurize.Encoded
+	pb  PackedBatch
+	ws  nn.Workspace
+	out []float64
+	one [1]featurize.Encoded
 }
 
 // NewEngine builds an inference engine over the model's weights.
@@ -106,22 +94,6 @@ func (e *Engine) Forward(pb *PackedBatch, ws *nn.Workspace, out []float64) {
 	nn.SigmoidInPlace(outM)
 }
 
-// forward dispatches one packed forward pass to the model's current
-// precision. out must have length ≥ pb.B; s must not be shared with a
-// concurrent pass.
-//
-//deepsketch:zeroalloc
-func (e *Engine) forward(pb *PackedBatch, s *engineScratch, out []float64) {
-	switch e.m.Precision() {
-	case F32:
-		e.forward32(pb, s, out)
-	case Int8:
-		e.forward8(pb, s, out)
-	default:
-		e.Forward(pb, &s.ws, out)
-	}
-}
-
 // Predict returns the normalized prediction for one featurized query using
 // pooled scratch — the serving hot path for single ad-hoc estimates.
 func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
@@ -137,7 +109,7 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 	if cap(s.out) < 1 {
 		s.out = make([]float64, 1)
 	}
-	e.forward(&s.pb, s, s.out[:1])
+	e.Forward(&s.pb, &s.ws, s.out[:1])
 	return s.out[0], nil
 }
 
@@ -148,29 +120,6 @@ func (e *Engine) Predict(enc featurize.Encoded) (float64, error) {
 // chunks, chunks fan out across cores, each on its own pooled scratch. ctx
 // is checked between chunks.
 func (e *Engine) PredictAllInto(ctx context.Context, encs []featurize.Encoded, out []float64) error {
-	if len(out) != len(encs) {
-		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), len(encs))
-	}
-	if len(encs) == 0 {
-		return nil
-	}
-	return e.forEachChunk(ctx, len(encs), func(lo, hi int) error {
-		s := e.scratch()
-		defer e.pool.Put(s)
-		if err := s.pb.Build(encs[lo:hi], e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
-			return err
-		}
-		e.forward(&s.pb, s, out[lo:hi])
-		return nil
-	})
-}
-
-// predictAllF64 is PredictAllInto pinned to the f64 reference path,
-// regardless of the model's serving precision. Training-time validation
-// uses it so epoch decisions are precision-independent and never read a
-// reduced-precision snapshot that mid-training weight mutation has made
-// stale.
-func (e *Engine) predictAllF64(ctx context.Context, encs []featurize.Encoded, out []float64) error {
 	if len(out) != len(encs) {
 		return fmt.Errorf("mscn: %d outputs for %d queries", len(out), len(encs))
 	}
@@ -302,7 +251,7 @@ func (e *Engine) PredictSourceInto(ctx context.Context, src QuerySource, n int, 
 		if err := s.pb.BuildFrom(src, lo, hi, e.m.TDim, e.m.JDim, e.m.PDim); err != nil {
 			return err
 		}
-		e.forward(&s.pb, s, out[lo:hi])
+		e.Forward(&s.pb, &s.ws, out[lo:hi])
 		return nil
 	})
 }

@@ -29,7 +29,6 @@ import (
 	"io"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"deepsketch/internal/datagen"
 	"deepsketch/internal/featurize"
@@ -131,38 +130,9 @@ type Model struct {
 	// is what TrainOptions.Resume consumes for warm-start fine-tuning.
 	optState *nn.OptState
 
-	// precision selects the engine's forward-pass numeric format
-	// (Precision). The f64 weights remain the source of truth; reduced
-	// precisions read converted snapshots keyed to weightGen.
-	precision atomic.Uint32
-	// weightGen counts wholesale weight replacements (ReadWeights, end of a
-	// training run). The engine tags its reduced-precision snapshots with
-	// the generation they were built at and rebuilds on mismatch, so a
-	// Refresh/Swap can never serve a stale f32/int8 snapshot.
-	weightGen atomic.Uint64
-
 	engOnce sync.Once
 	eng     *Engine
 }
-
-// Precision returns the engine forward-pass precision (default F64).
-//
-//deepsketch:zeroalloc
-func (m *Model) Precision() Precision { return Precision(m.precision.Load()) }
-
-// SetPrecision selects the engine forward-pass precision. Safe to call
-// concurrently with serving; in-flight forwards finish on the precision
-// they started with.
-func (m *Model) SetPrecision(p Precision) { m.precision.Store(uint32(p)) }
-
-// WeightGen returns the current weight generation. It increments on every
-// wholesale weight replacement; reduced-precision snapshots are valid only
-// for the generation they were converted from.
-func (m *Model) WeightGen() uint64 { return m.weightGen.Load() }
-
-// noteWeightsChanged invalidates reduced-precision weight snapshots. Every
-// path that replaces the f64 weights wholesale must call it.
-func (m *Model) noteWeightsChanged() { m.weightGen.Add(1) }
 
 // OptState returns the optimizer state captured at the end of the last
 // training run, or nil if the model has never been trained in this process
@@ -213,7 +183,6 @@ func (m *Model) Clone() *Model {
 		copy(dst[i].Data, p.Data)
 	}
 	nm.optState = m.optState.Clone()
-	nm.SetPrecision(m.Precision())
 	return nm
 }
 
@@ -241,13 +210,8 @@ func (m *Model) NumParams() int {
 func (m *Model) WriteWeights(w io.Writer) error { return nn.WriteParams(w, m.Params()) }
 
 // ReadWeights restores weights written by WriteWeights into this
-// architecture; dimensions must match. It bumps the weight generation so
-// any cached reduced-precision snapshot is rebuilt before the next use.
-func (m *Model) ReadWeights(r io.Reader) error {
-	err := nn.ReadParams(r, m.Params())
-	m.noteWeightsChanged()
-	return err
-}
+// architecture; dimensions must match.
+func (m *Model) ReadWeights(r io.Reader) error { return nn.ReadParams(r, m.Params()) }
 
 // Batch is a padded, masked mini-batch of featurized queries — the
 // reference representation for the packed-equivalence tests; production

@@ -1,6 +1,7 @@
 package mscn
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -303,5 +304,44 @@ func TestForwardPackedZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state packed Forward allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestEngineSnapshotInvalidation: replacing the model's weights (the
+// Refresh/Swap path runs through ReadWeights) must reach the model's shared
+// engine — the next Predict answers with the new weights, never a value
+// computed from the old ones.
+func TestEngineSnapshotInvalidation(t *testing.T) {
+	const tdim, jdim, pdim = 13, 3, 5
+	oldM := New(Config{HiddenUnits: 16, Seed: 21}, tdim, jdim, pdim)
+	newM := New(Config{HiddenUnits: 16, Seed: 22}, tdim, jdim, pdim)
+	rng := rand.New(rand.NewSource(45))
+	enc := randEnc(rng, 2, 1, 2, tdim, jdim, pdim)
+
+	before, err := oldM.Engine().Predict(enc) // builds the shared engine and its scratch
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newM.Engine().Predict(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before == want {
+		t.Fatal("distinct seeds produced equal predictions — test is vacuous")
+	}
+
+	var buf bytes.Buffer
+	if err := newM.WriteWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := oldM.ReadWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := oldM.Engine().Predict(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("after ReadWeights predict = %v, want %v (before-swap value was %v)", got, want, before)
 	}
 }

@@ -261,7 +261,6 @@ func (m *Model) TrainWithOptions(examples []Example, norm nn.LabelNorm, mon *tra
 	} else {
 		m.optState = opt.ExportState(params)
 	}
-	m.noteWeightsChanged()
 	return stats, nil
 }
 
@@ -277,10 +276,6 @@ func qBetter(cur, best float64) bool {
 }
 
 // evalQErrors predicts the validation examples and returns their q-errors.
-// It always runs the f64 reference path: training mutates weights without
-// bumping the weight generation, so reduced-precision snapshots would be
-// stale mid-run — and KeepBest/StopAtValQ decisions must not depend on the
-// serving precision anyway.
 //
 //deepsketch:ctxorigin synchronous validation pass inside the training loop; cancellation arrives via the trainer
 func (m *Model) evalQErrors(val []Example, norm nn.LabelNorm) ([]float64, error) {
@@ -289,7 +284,7 @@ func (m *Model) evalQErrors(val []Example, norm nn.LabelNorm) ([]float64, error)
 		encs[i] = ex.Enc
 	}
 	preds := make([]float64, len(encs))
-	if err := m.Engine().predictAllF64(context.Background(), encs, preds); err != nil {
+	if err := m.Engine().PredictAllInto(context.Background(), encs, preds); err != nil {
 		return nil, err
 	}
 	qs := make([]float64, len(val))

@@ -14,12 +14,7 @@
 // packed ragged batches, a register-tiled fused Linear+ReLU GEMM, and
 // bump-allocated scratch. A Workspace serves one forward pass at a time —
 // concurrency comes from one Workspace per goroutine, never from sharing.
-//
-// Inference additionally offers reduced-precision mirrors: float32 kernels
-// (infer32.go: Linear32, SegmentAvgPool32, Workspace32) that halve weight
-// memory traffic, and an experimental per-layer-scaled int8 GEMM
-// (infer8.go). Weight snapshots convert once per weight version; the f64
-// training state is the single source of truth.
+// Both paths run in float64 on the same weights.
 package nn
 
 import (

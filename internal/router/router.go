@@ -125,13 +125,10 @@ func newEntry(s *core.Sketch, ver int) *entry {
 	return e
 }
 
-// Register adds a sketch. Sketches may overlap; dispatch prefers the
-// smallest covering table set, breaking ties by registration order.
-func (r *Router) Register(s *core.Sketch) { r.RegisterVersion(s, 0) }
-
-// RegisterVersion is Register with a registry version number stamped on the
-// sketch's estimates (lifecycle registries install versioned sketches; 0
-// means unversioned).
+// RegisterVersion adds a sketch, stamping ver on its estimates (lifecycle
+// registries install versioned sketches; 0 means unversioned). Sketches may
+// overlap; dispatch prefers the smallest covering table set, breaking ties
+// by registration order.
 func (r *Router) RegisterVersion(s *core.Sketch, ver int) {
 	e := newEntry(s, ver)
 	e.inc = r.serial.Add(1)
@@ -143,17 +140,14 @@ func (r *Router) RegisterVersion(s *core.Sketch, ver int) {
 	r.gen.Add(1)
 }
 
-// Swap atomically replaces the registered sketch whose name matches with a
-// new one, keeping its position (and therefore its dispatch tie-break
-// order). Traffic in flight keeps its pre-swap snapshot; every estimate
-// routed after Swap returns sees the new sketch. The new sketch's coverage
-// may differ from the old one's. An active canary on the name is cleared —
-// a direct swap invalidates whatever comparison the canary was running.
-// Returns an error when no sketch of that name is registered.
-func (r *Router) Swap(name string, s *core.Sketch) error { return r.SwapVersion(name, s, 0) }
-
-// SwapVersion is Swap with a registry version number stamped on the
-// sketch's estimates.
+// SwapVersion atomically replaces the registered sketch whose name matches
+// with a new one, stamping ver on its estimates and keeping its position
+// (and therefore its dispatch tie-break order). Traffic in flight keeps its
+// pre-swap snapshot; every estimate routed after SwapVersion returns sees
+// the new sketch. The new sketch's coverage may differ from the old one's.
+// An active canary on the name is cleared — a direct swap invalidates
+// whatever comparison the canary was running. Returns an error when no
+// sketch of that name is registered.
 func (r *Router) SwapVersion(name string, s *core.Sketch, ver int) error {
 	e := newEntry(s, ver)
 	r.mu.Lock()
@@ -289,8 +283,9 @@ func (r *Router) Unregister(name string) bool {
 }
 
 // Generation returns a counter that increments on every registry mutation
-// (Register, Swap, Unregister). Serving caches watch it to drop answers
-// computed against a previous registry view — see serve.Cache.WatchGeneration.
+// (RegisterVersion, SwapVersion, Unregister). Serving caches watch it to
+// drop answers computed against a previous registry view — see
+// serve.Cache.WatchGeneration.
 func (r *Router) Generation() uint64 { return r.gen.Load() }
 
 // snapshot returns the current entry list under one brief RLock. Mutations

@@ -29,8 +29,8 @@ func TestRouterPrefersSmallestCover(t *testing.T) {
 	full := buildSub(t, d, "full", nil)
 	kw := buildSub(t, d, "keywords", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(full)
-	r.Register(kw)
+	r.RegisterVersion(full, 0)
+	r.RegisterVersion(kw, 0)
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
@@ -74,7 +74,7 @@ func TestRouterNoCover(t *testing.T) {
 	d := datagen.IMDb(datagen.IMDbConfig{Seed: 52, Titles: 300, Keywords: 20, Companies: 10, Persons: 50})
 	kw := buildSub(t, d, "kw", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(kw)
+	r.RegisterVersion(kw, 0)
 	q := db.Query{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}}
 	if _, err := r.Route(q); err == nil {
 		t.Error("uncovered query should error")
@@ -98,7 +98,7 @@ func TestRouterEmptyAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.Register(s)
+			r.RegisterVersion(s, 0)
 			if _, err := r.Estimate(context.Background(), q); err != nil {
 				t.Error(err)
 			}
@@ -115,8 +115,8 @@ func TestRouterTieBreakByRegistrationOrder(t *testing.T) {
 	a := buildSub(t, d, "first", []string{"title", "movie_keyword", "keyword"})
 	b := buildSub(t, d, "second", []string{"title", "movie_keyword", "keyword"})
 	r := New()
-	r.Register(a)
-	r.Register(b)
+	r.RegisterVersion(a, 0)
+	r.RegisterVersion(b, 0)
 	q := db.Query{Tables: []db.TableRef{{Table: "title", Alias: "t"}}}
 	s, err := r.Route(q)
 	if err != nil {
@@ -132,8 +132,8 @@ func TestRouterEstimateBatchMatchesEstimate(t *testing.T) {
 	kw := buildSub(t, d, "keywords", []string{"title", "movie_keyword", "keyword"})
 	full := buildSub(t, d, "full", nil)
 	r := New()
-	r.Register(kw)
-	r.Register(full)
+	r.RegisterVersion(kw, 0)
+	r.RegisterVersion(full, 0)
 	ctx := context.Background()
 
 	// A mixed batch: some queries covered by the specialist, some only by
@@ -168,7 +168,7 @@ func TestRouterEstimateBatchMatchesEstimate(t *testing.T) {
 
 	// One uncovered query fails the batch, like Estimate would.
 	r2 := New()
-	r2.Register(kw)
+	r2.RegisterVersion(kw, 0)
 	if _, err := r2.EstimateBatch(ctx, qs); err == nil {
 		t.Error("batch with uncovered query should error")
 	}
@@ -182,15 +182,15 @@ func TestRouterSwapAndUnregister(t *testing.T) {
 	if r.Generation() != 0 {
 		t.Errorf("fresh router generation = %d", r.Generation())
 	}
-	r.Register(full)
+	r.RegisterVersion(full, 0)
 	if r.Generation() != 1 {
 		t.Errorf("generation after register = %d, want 1", r.Generation())
 	}
-	if err := r.Swap("nope", kw); err == nil {
+	if err := r.SwapVersion("nope", kw, 0); err == nil {
 		t.Error("swapping an unknown name should error")
 	}
 	// Replace the generalist with the specialist under the same slot.
-	if err := r.Swap("full", kw); err != nil {
+	if err := r.SwapVersion("full", kw, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r.Generation() != 2 {
@@ -226,7 +226,7 @@ func TestRouterSwapUnregisterRace(t *testing.T) {
 	spec := buildSub(t, d, "spec", []string{"title", "movie_keyword", "keyword"})
 
 	r := New()
-	r.Register(a)
+	r.RegisterVersion(a, 0)
 	qs := []db.Query{
 		{Tables: []db.TableRef{{Table: "title", Alias: "t"}}},
 		{Tables: []db.TableRef{{Table: "cast_info", Alias: "ci"}}},
@@ -265,10 +265,10 @@ func TestRouterSwapUnregisterRace(t *testing.T) {
 		} else {
 			swapIn = a
 		}
-		if err := r.Swap("live", swapIn); err != nil {
+		if err := r.SwapVersion("live", swapIn, 0); err != nil {
 			t.Error(err)
 		}
-		r.Register(spec)
+		r.RegisterVersion(spec, 0)
 		r.Unregister("spec")
 	}
 	close(stop)
@@ -289,7 +289,7 @@ func TestRouterBatchDeterministicUnderConcurrentRegister(t *testing.T) {
 	kw := buildSub(t, d, "kw", []string{"title", "movie_keyword", "keyword"})
 
 	r := New()
-	r.Register(full)
+	r.RegisterVersion(full, 0)
 
 	qs := []db.Query{
 		{Tables: []db.TableRef{{Table: "title", Alias: "t"}}},
@@ -335,7 +335,7 @@ func TestRouterBatchDeterministicUnderConcurrentRegister(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		r.Register(kw)
+		r.RegisterVersion(kw, 0)
 	}
 	close(stop)
 	wg.Wait()

@@ -49,11 +49,10 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key    string
-	card   float64
-	src    string
-	ver    int
-	engine string
+	key  string
+	card float64
+	src  string
+	ver  int
 }
 
 // NewCache wraps inner with an LRU of the given capacity (entries).
@@ -103,9 +102,6 @@ func (c *Cache) invalidateLocked() {
 	c.gen++
 }
 
-// Reset is the historical name of Invalidate.
-func (c *Cache) Reset() { c.Invalidate() }
-
 // KeyFunc sets the function that derives a query's cache key, replacing
 // the default Query.Signature. Wire it to the backing router's CacheKey
 // when the backend serves multiple versions of a sketch (swaps, canary
@@ -130,7 +126,7 @@ func (c *Cache) key(q db.Query) string {
 // counter (e.g. Router.Generation or a lifecycle Registry's): at every
 // request entry the cache compares gen() to the value its contents were
 // computed under and invalidates itself on change. With this wired, a
-// sketch swap needs no manual Reset call — the first request after the
+// sketch swap needs no manual Invalidate call — the first request after the
 // swap sees the bumped generation, drops the stale entries, and recomputes
 // against the new registry view. Returns the cache for call chaining.
 func (c *Cache) WatchGeneration(gen func() uint64) *Cache {
@@ -183,14 +179,13 @@ func (c *Cache) lookup(key string, start time.Time) (estimator.Estimate, bool) {
 		Cardinality: ent.card,
 		Source:      ent.src,
 		Version:     ent.ver,
-		Engine:      ent.engine,
 		Latency:     time.Since(start),
 		CacheHit:    true,
 	}, true
 }
 
 // insert stores an estimate under key, evicting the LRU entry when full.
-// Results computed before a Reset (gen mismatch) are dropped as stale. An
+// Results computed before an Invalidate (gen mismatch) are dropped as stale. An
 // existing entry is overwritten, not merely refreshed: when concurrent
 // misses race — e.g. one answered by a Fallback chain's secondary during a
 // transient primary failure, the other by the recovered primary — the
@@ -205,11 +200,11 @@ func (c *Cache) insert(key string, e estimator.Estimate, gen uint64) {
 	}
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		ent.card, ent.src, ent.ver, ent.engine = e.Cardinality, e.Source, e.Version, e.Engine
+		ent.card, ent.src, ent.ver = e.Cardinality, e.Source, e.Version
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, card: e.Cardinality, src: e.Source, ver: e.Version, engine: e.Engine})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, card: e.Cardinality, src: e.Source, ver: e.Version})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

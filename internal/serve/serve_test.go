@@ -490,16 +490,16 @@ func TestCacheReset(t *testing.T) {
 	if _, err := c.Estimate(ctx, query(1)); err != nil {
 		t.Fatal(err)
 	}
-	c.Reset()
+	c.Invalidate()
 	if c.Len() != 0 {
-		t.Errorf("Len after Reset = %d", c.Len())
+		t.Errorf("Len after Invalidate = %d", c.Len())
 	}
 	got, err := c.Estimate(ctx, query(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.CacheHit {
-		t.Error("entry must be recomputed after Reset")
+		t.Error("entry must be recomputed after Invalidate")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"deepsketch"
 	"deepsketch/internal/mscn"
 	"deepsketch/internal/wal"
 )
@@ -31,31 +30,22 @@ func TestPerfTrajectory(t *testing.T) {
 
 	// Estimate latency: single ad-hoc estimates cycling JOB-light, so
 	// caching cannot flatter the number (mirrors BenchmarkEstimateLatency).
-	// Measured once per inference engine precision, on a clone so the shared
-	// fixture stays f64.
+	// A warm-up pass first builds the lazy engine and fills its scratch pool.
 	const estimates = 2000
-	measure := func(eng deepsketch.EnginePrecision) float64 {
-		sk := f.sketch.Clone()
-		sk.SetEnginePrecision(eng)
-		// Warm the clone (lazy engine state, converted snapshots, caches)
-		// before timing, so the first engine measured pays no cold-start
-		// penalty the second one skips.
-		for i := 0; i < 200; i++ {
-			if _, err := sk.Cardinality(f.joblight[i%len(f.joblight)].Query); err != nil {
-				t.Fatal(err)
-			}
+	sk := f.sketch
+	for i := 0; i < 200; i++ {
+		if _, err := sk.Cardinality(f.joblight[i%len(f.joblight)].Query); err != nil {
+			t.Fatal(err)
 		}
-		start := time.Now()
-		for i := 0; i < estimates; i++ {
-			lq := f.joblight[i%len(f.joblight)]
-			if _, err := sk.Cardinality(lq.Query); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / estimates
 	}
-	estimateUS := measure(deepsketch.EngineF64)
-	estimateF32US := measure(deepsketch.EngineF32)
+	start := time.Now()
+	for i := 0; i < estimates; i++ {
+		lq := f.joblight[i%len(f.joblight)]
+		if _, err := sk.Cardinality(lq.Query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	estimateUS := float64(time.Since(start).Microseconds()) / estimates
 
 	// Epoch time: one serial epoch of packed data-parallel MSCN training on
 	// the fixture's prepared examples (mirrors BenchmarkTrainEpoch p=1).
@@ -63,7 +53,7 @@ func TestPerfTrajectory(t *testing.T) {
 	mcfg := f.td.Cfg.Model
 	mcfg.Epochs = 1
 	m := mscn.New(mcfg, enc.TableDim(), enc.JoinDim(), enc.PredDim())
-	start := time.Now()
+	start = time.Now()
 	if _, err := m.TrainWithOptions(f.td.Examples, enc.Norm, nil, mscn.TrainOptions{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +88,13 @@ func TestPerfTrajectory(t *testing.T) {
 		"go":         runtime.Version(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"metrics": map[string]float64{
-			"estimate_latency_us":     estimateUS,
-			"estimate_latency_f32_us": estimateF32US,
-			"train_epoch_ms":          epochMS,
-			"wal_appends_per_sec":     walPerSec,
-			"train_examples":          float64(len(f.td.Examples)),
-			"estimate_queries":        float64(len(f.joblight)),
-			"wal_appends_measured":    appends,
-			"estimates_measured":      estimates,
+			"estimate_latency_us":  estimateUS,
+			"train_epoch_ms":       epochMS,
+			"wal_appends_per_sec":  walPerSec,
+			"train_examples":       float64(len(f.td.Examples)),
+			"estimate_queries":     float64(len(f.joblight)),
+			"wal_appends_measured": appends,
+			"estimates_measured":   estimates,
 		},
 	}
 	blob, err := json.MarshalIndent(artifact, "", "  ")
@@ -115,6 +104,6 @@ func TestPerfTrajectory(t *testing.T) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("perf trajectory: estimate %.1fµs (f32 %.1fµs), epoch %.0fms, wal %.0f appends/s → %s",
-		estimateUS, estimateF32US, epochMS, walPerSec, out)
+	t.Logf("perf trajectory: estimate %.1fµs, epoch %.0fms, wal %.0f appends/s → %s",
+		estimateUS, epochMS, walPerSec, out)
 }
