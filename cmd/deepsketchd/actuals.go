@@ -191,6 +191,15 @@ func (s *server) replayWAL() {
 	}
 }
 
+// walActualCount is the number of distinct logged actuals the dataset's
+// WAL holds for the sketch (0 without a WAL).
+func (s *server) walActualCount(dataset, sketchName string) int {
+	if l := s.wals[dataset]; l != nil {
+		return l.ActualCount(sketchName)
+	}
+	return 0
+}
+
 // walWorkload converts the WAL's recent actuals for a sketch into a
 // labeled fine-tune workload (newest-first distinct signatures, capped at
 // -wal-delta). Records that no longer parse against the schema are

@@ -92,6 +92,7 @@ async function estimate() {
     const r = await jsonFetch('/api/estimate', {method: 'POST', body: JSON.stringify({
       sketch_id: +document.getElementById('q_id').value,
       sql: document.getElementById('q_sql').value,
+      truth: true,
     })});
     out.textContent =
       'Deep Sketch  ' + r.deep_sketch.toFixed(1) + '   (q-error ' + r.q_errors.deep_sketch.toFixed(2) + ')\n' +

@@ -1,11 +1,12 @@
 // Command deepsketchd is the demonstration server: the reproduction of the
 // paper's web demo (Figure 2). It serves the synthetic IMDb and TPC-H
 // datasets and lets clients define Deep Sketches, monitor their training,
-// and run ad-hoc and template queries against trained sketches — with
-// overlays from the HyPer-style and PostgreSQL-style estimators and the
-// true cardinality, like the demo UI's chart. New sketches train in the
-// background while existing ones keep serving queries ("we allow users to
-// train new models while querying existing ones").
+// and run ad-hoc and template queries against trained sketches — on
+// request ("truth": true) with overlays from the HyPer-style and
+// PostgreSQL-style estimators and the true cardinality, like the demo UI's
+// chart. New sketches train in the background while existing ones keep
+// serving queries ("we allow users to train new models while querying
+// existing ones").
 //
 //	deepsketchd -addr :8080 -titles 20000 -orders 15000 -prebuilt
 //
@@ -23,8 +24,8 @@
 //	POST /api/sketches/{id}/canary     refresh into a canary at a traffic fraction (or re-fraction)
 //	POST /api/sketches/{id}/promote    make the canary live for 100% of traffic
 //	DELETE /api/sketches/{id}/canary   abort the canary; the live version resumes all traffic
-//	POST /api/estimate                 {sketch_id, sql} -> all overlays (+ serving version)
-//	POST /api/template                 {sketch_id, sql, group, buckets}
+//	POST /api/estimate                 {sketch_id, sql[, truth]} -> sketch estimate (+ serving version; overlays with truth)
+//	POST /api/template                 {sketch_id, sql, group, buckets[, truth]}
 //
 // # Refreshing a live sketch
 //
@@ -163,6 +164,9 @@ func main() {
 	})
 	if !*driftTruth {
 		log.Printf("deepsketchd: exact executor off the serving path — ground truth via POST /api/sketches/{id}/actuals only")
+		if *driftAuto && *walDir == "" {
+			log.Printf("deepsketchd: -drift without -drift-truth refreshes on WAL-logged actuals only; set -wal")
+		}
 	}
 	if *pinnedDir != "" {
 		log.Printf("deepsketchd: pinned-benchmark rail on (%s, tolerance %.2fx)", *pinnedDir, *pinnedRegress)
@@ -251,9 +255,30 @@ type sketchEntry struct {
 	adminMu sync.Mutex
 }
 
+// baseline holds a dataset's demo overlays: the exact executor and the
+// HyPer- and PostgreSQL-style estimators the demo chart compares a Deep
+// Sketch against. They run only when a request asks for "truth".
 type baseline struct {
+	truth deepsketch.Estimator
 	hyper deepsketch.Estimator
 	pg    deepsketch.Estimator
+}
+
+// overlay runs the exact executor and both baseline estimators on q.
+func (b baseline) overlay(ctx context.Context, q deepsketch.Query) (truth int64, hyper, pg float64, err error) {
+	t, err := b.truth.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	h, err := b.hyper.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	p, err := b.pg.Estimate(ctx, q)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return int64(t.Cardinality), h.Cardinality, p.Cardinality, nil
 }
 
 type server struct {
@@ -293,6 +318,10 @@ type server struct {
 	// walWorkloads counts refreshes whose delta workload came from the WAL
 	// (vs synthetic generation) — observability for the feedback loop.
 	walWorkloads atomic.Uint64
+	// driftTruth reports whether the exact executor grades the drift
+	// monitors' samples; without it, automatic refreshes train on logged
+	// actuals only.
+	driftTruth bool
 
 	// store, when non-empty, is a directory where ready sketches are
 	// persisted and from which they are restored at startup.
@@ -380,6 +409,7 @@ func newServerOpts(opts serverOptions) *server {
 		walDelta:         opts.walDelta,
 		retainVersions:   opts.retainVersions,
 		retainWALBytes:   opts.retainWALBytes,
+		driftTruth:       opts.driftTruth,
 		sketches:         map[int]*sketchEntry{},
 		nextID:           1,
 	}
@@ -393,7 +423,8 @@ func newServerOpts(opts serverOptions) *server {
 			log.Fatalf("baseline for %s: %v", name, err)
 		}
 		pg := deepsketch.PostgresEstimator(d)
-		s.baseline[name] = baseline{hyper: hyper, pg: pg}
+		exact := deepsketch.TruthEstimator(d)
+		s.baseline[name] = baseline{truth: exact, hyper: hyper, pg: pg}
 		reg := deepsketch.NewSketchRegistry()
 		s.registries[name] = reg
 		// The observation WAL journals every pending/resolved monitor
@@ -416,7 +447,7 @@ func newServerOpts(opts serverOptions) *server {
 		// monitor triggers into automatic refresh+canary cycles.
 		var truth deepsketch.Estimator
 		if opts.driftTruth {
-			truth = deepsketch.TruthEstimator(d)
+			truth = exact
 		}
 		mon := deepsketch.NewDriftMonitor(driftCfg, truth)
 		s.monitors[name] = mon
@@ -444,7 +475,14 @@ func newServerOpts(opts serverOptions) *server {
 		// A trigger that fires while an operator's refresh/canary fine-tune
 		// is still training (entry "refreshing", no canary installed yet)
 		// must not start a second concurrent retrain of the same sketch.
+		// Without the exact executor, a trigger also waits until the WAL
+		// holds enough logged actuals to fine-tune on: checked here, on the
+		// goroutine that resolved the triggering actual, so the refresh
+		// never races the feedback it exists to learn from.
 		dcc.SkipTrigger = func(sketchName string) bool {
+			if !s.driftTruth && s.walActualCount(dataset, sketchName) < walDeltaMin {
+				return true
+			}
 			e := s.entryByName(dataset, sketchName)
 			if e == nil {
 				return false
@@ -489,10 +527,11 @@ const walDeltaMin = 32
 // refreshes. When the observation WAL holds enough logged actuals for the
 // sketch, the delta workload IS the observed traffic — the most recent
 // distinct query signatures with their actual cardinalities, no synthetic
-// generation and no exact executor in the loop. Otherwise it falls back to
-// generating and labeling a fresh synthetic workload over the sketch's
-// tables, seeded by the history length so consecutive cycles see fresh
-// queries.
+// generation and no exact executor in the loop. Otherwise, if the exact
+// executor is configured (-drift-truth), it falls back to generating and
+// labeling a fresh synthetic workload over the sketch's tables, seeded by
+// the history length so consecutive cycles see fresh queries; without it
+// the refresh fails rather than label with the executor after all.
 func (s *server) deltaWorkload(_ context.Context, dataset, sketchName string) ([]deepsketch.LabeledQuery, error) {
 	d := s.datasets[dataset]
 	reg := s.registries[dataset]
@@ -504,6 +543,9 @@ func (s *server) deltaWorkload(_ context.Context, dataset, sketchName string) ([
 		s.walWorkloads.Add(1)
 		log.Printf("deepsketchd: refresh of %q fine-tuning on %d WAL-logged actuals", sketchName, len(lw))
 		return lw, nil
+	}
+	if !s.driftTruth {
+		return nil, fmt.Errorf("too few WAL-logged actuals for %q to fine-tune on (want %d) and no exact executor", sketchName, walDeltaMin)
 	}
 	histLen := 0
 	if vs, err := reg.Versions(sketchName); err == nil {
@@ -1281,17 +1323,20 @@ func (s *server) handleSketchRollback(w http.ResponseWriter, r *http.Request) {
 	s.writeEntry(w, http.StatusOK, e)
 }
 
-func (s *server) readySketch(id int) (*sketchEntry, error) {
+// readySketch snapshots a ready entry under the lock: installVersion
+// rewrites the entry's sketch on every refresh, rollback or upload, so a
+// handler uses the returned values, never the entry's fields.
+func (s *server) readySketch(id int) (dataset string, sk *deepsketch.Sketch, serving deepsketch.Estimator, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.sketches[id]
 	if !ok {
-		return nil, fmt.Errorf("no sketch %d", id)
+		return "", nil, nil, fmt.Errorf("no sketch %d", id)
 	}
 	if e.sketch == nil {
-		return nil, fmt.Errorf("sketch %d is %s", id, e.Status)
+		return "", nil, nil, fmt.Errorf("sketch %d is %s", id, e.Status)
 	}
-	return e, nil
+	return e.Dataset, e.sketch, e.serving, nil
 }
 
 type estimateReq struct {
@@ -1301,11 +1346,14 @@ type estimateReq struct {
 	SketchID int    `json:"sketch_id"`
 	Dataset  string `json:"dataset,omitempty"`
 	SQL      string `json:"sql"`
+	// Truth adds the demo chart's overlays: the true cardinality, the
+	// HyPer and PostgreSQL estimates and the q-errors against the truth.
+	Truth bool `json:"truth"`
 }
 
-// handleEstimate computes all the demo's overlays for one ad-hoc query:
-// Deep Sketch (through the serving stack), HyPer, PostgreSQL, and the true
-// cardinality. The client disconnecting cancels the work via the request
+// handleEstimate serves one ad-hoc query through the serving stack. Only a
+// request with "truth" pays for the demo's overlays, which run the exact
+// executor. The client disconnecting cancels the work via the request
 // context.
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateReq
@@ -1327,15 +1375,11 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		serving = est
 	} else {
-		e, err := s.readySketch(req.SketchID)
-		if err != nil {
+		var err error
+		if dataset, _, serving, err = s.readySketch(req.SketchID); err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		s.mu.RLock()
-		serving = e.serving
-		dataset = e.Dataset
-		s.mu.RUnlock()
 	}
 	d := s.datasets[dataset]
 	q, err := deepsketch.ParseSQL(d, req.SQL)
@@ -1348,36 +1392,27 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	truth, err := deepsketch.TrueCardinality(d, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	bl := s.baseline[dataset]
-	hyperEst, err := bl.hyper.Estimate(ctx, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	pgEst, err := bl.pg.Estimate(ctx, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
 	resp := map[string]any{
 		"sql":         q.SQL(d),
 		"deep_sketch": est.Cardinality,
 		"source":      est.Source,
 		"latency_ms":  float64(est.Latency.Microseconds()) / 1000.0,
 		"cache_hit":   est.CacheHit,
-		"hyper":       hyperEst.Cardinality,
-		"postgresql":  pgEst.Cardinality,
-		"true":        truth,
-		"q_errors": map[string]float64{
+	}
+	if req.Truth {
+		truth, hyper, pg, err := s.baseline[dataset].overlay(ctx, q)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		resp["true"] = truth
+		resp["hyper"] = hyper
+		resp["postgresql"] = pg
+		resp["q_errors"] = map[string]float64{
 			"deep_sketch": deepsketch.QError(est.Cardinality, float64(truth)),
-			"hyper":       deepsketch.QError(hyperEst.Cardinality, float64(truth)),
-			"postgresql":  deepsketch.QError(pgEst.Cardinality, float64(truth)),
-		},
+			"hyper":       deepsketch.QError(hyper, float64(truth)),
+			"postgresql":  deepsketch.QError(pg, float64(truth)),
+		}
 	}
 	// Tag which version of the answering sketch served the estimate (absent
 	// when a baseline fallback answered). The version is stamped on the
@@ -1394,7 +1429,7 @@ type templateReq struct {
 	SQL      string `json:"sql"`
 	Group    string `json:"group"`   // distinct | buckets
 	Buckets  int    `json:"buckets"` // for group=buckets
-	Truth    bool   `json:"truth"`   // include true cardinalities
+	Truth    bool   `json:"truth"`   // include the overlays
 }
 
 // handleTemplate serves the demo's placeholder queries: one series point per
@@ -1405,7 +1440,7 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	e, err := s.readySketch(req.SketchID)
+	dataset, sk, _, err := s.readySketch(req.SketchID)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -1417,13 +1452,12 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 			req.Buckets = 20
 		}
 	}
-	res, err := e.sketch.EstimateTemplateSQL(r.Context(), req.SQL, g, req.Buckets)
+	res, err := sk.EstimateTemplateSQL(r.Context(), req.SQL, g, req.Buckets)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	d := s.datasets[e.Dataset]
-	bl := s.baseline[e.Dataset]
+	bl := s.baseline[dataset]
 	type point struct {
 		Label      string  `json:"label"`
 		Estimate   float64 `json:"deep_sketch"`
@@ -1435,24 +1469,12 @@ func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
 	for _, inst := range res {
 		p := point{Label: inst.Label, Estimate: inst.Estimate}
 		if req.Truth {
-			tc, err := deepsketch.TrueCardinality(d, inst.Query)
+			tc, he, pe, err := bl.overlay(r.Context(), inst.Query)
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, err)
 				return
 			}
-			p.True = &tc
-			he, err := bl.hyper.Estimate(r.Context(), inst.Query)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			p.Hyper = he.Cardinality
-			pe, err := bl.pg.Estimate(r.Context(), inst.Query)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			p.PostgreSQL = pe.Cardinality
+			p.True, p.Hyper, p.PostgreSQL = &tc, he, pe
 		}
 		points = append(points, p)
 	}

@@ -103,11 +103,24 @@ func TestSketchLifecycleAndEstimate(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
+	// A default estimate is the sketch's answer alone.
+	adhoc := "SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id=t.id AND t.production_year>2000"
+	rec = post(t, h, "/api/estimate", estimateReq{SketchID: entry.ID, SQL: adhoc})
+	if rec.Code != 200 {
+		t.Fatalf("estimate status %d: %s", rec.Code, rec.Body)
+	}
+	var plain map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &plain); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"true", "hyper", "postgresql", "q_errors"} {
+		if _, ok := plain[k]; ok {
+			t.Errorf("default estimate carries overlay %q: %s", k, rec.Body)
+		}
+	}
+
 	// Ad-hoc estimate with overlays.
-	rec = post(t, h, "/api/estimate", estimateReq{
-		SketchID: entry.ID,
-		SQL:      "SELECT COUNT(*) FROM title t, movie_keyword mk WHERE mk.movie_id=t.id AND t.production_year>2000",
-	})
+	rec = post(t, h, "/api/estimate", estimateReq{SketchID: entry.ID, SQL: adhoc, Truth: true})
 	if rec.Code != 200 {
 		t.Fatalf("estimate status %d: %s", rec.Code, rec.Body)
 	}

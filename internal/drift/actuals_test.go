@@ -90,6 +90,38 @@ func TestResolveActualRecordsAndTriggers(t *testing.T) {
 	}
 }
 
+// TestRearmClearsCooldown: a trigger declined before any refresh ran
+// (the controller's SkipTrigger) must not wait out the cooldown — after
+// Rearm the next resolved sample fires again.
+func TestRearmClearsCooldown(t *testing.T) {
+	fired := 0
+	m := NewMonitor(Config{
+		SampleEvery: 1, Window: 16, MinSamples: 2,
+		MaxMedianQ: 2.0, Cooldown: time.Hour,
+	}, nil)
+	m.OnTrigger(func(string, Reason) { fired++ })
+	for i := 0; i < 4; i++ {
+		m.Observe("s", 1, probeQuery(i), 1000)
+	}
+	m.Drain(context.Background())
+	resolve := func(i int) {
+		if _, _, _, ok := m.ResolveActual("s", probeQuery(i).Signature(), 100); !ok {
+			t.Fatalf("actual %d unmatched", i)
+		}
+	}
+	resolve(0)
+	resolve(1)
+	resolve(2)
+	if fired != 1 {
+		t.Fatalf("fired %d triggers before Rearm, want 1 (cooldown)", fired)
+	}
+	m.Rearm("s")
+	resolve(3)
+	if fired != 2 {
+		t.Fatalf("fired %d triggers after Rearm, want 2", fired)
+	}
+}
+
 func TestResolveActualUnmatchedCounted(t *testing.T) {
 	m := NewMonitor(Config{SampleEvery: 1}, nil)
 	if _, _, _, ok := m.ResolveActual("s", "no-such-sig", 42); ok {

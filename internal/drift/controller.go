@@ -80,7 +80,11 @@ type ControllerConfig struct {
 	// skip). The registry only exposes an installed canary, so the daemon
 	// wires this to "the sketch entry is not ready": a trigger that fires
 	// while an operator's refresh or canary fine-tune is still training
-	// must not start a second concurrent retrain of the same sketch.
+	// must not start a second concurrent retrain of the same sketch. The
+	// daemon also skips while too little logged feedback has arrived to
+	// refresh on. A skipped trigger re-arms the monitor, so the next
+	// sample evaluates the thresholds again instead of waiting out the
+	// cooldown.
 	SkipTrigger func(name string) bool
 	// OnEvent observes state transitions (nil for none). Called without
 	// controller locks held.
@@ -178,6 +182,7 @@ func (c *Controller) handleTrigger(name string, r Reason) {
 		return
 	}
 	if c.cfg.SkipTrigger != nil && c.cfg.SkipTrigger(name) {
+		c.mon.Rearm(name)
 		return
 	}
 	c.mu.Lock()
@@ -203,12 +208,14 @@ func (c *Controller) handleTrigger(name string, r Reason) {
 // and only then installs it as a canary; failures and rail rejections end
 // the cycle with the live version untouched.
 func (c *Controller) runRefresh(ctx context.Context, name string, cy *cycle) {
+	// A cycle ends only after its final event has been observed, so a
+	// caller that sees it idle in Cycle also sees what OnEvent did.
 	fail := func(err error) {
+		c.emit(Event{Name: name, Kind: "error", Reason: cy.reason, Err: err})
 		c.mu.Lock()
 		delete(c.cycles, name)
 		c.lastErr[name] = err.Error()
 		c.mu.Unlock()
-		c.emit(Event{Name: name, Kind: "error", Reason: cy.reason, Err: err})
 	}
 	if c.cfg.Workload == nil {
 		fail(fmt.Errorf("drift: controller has no Workload source configured"))
@@ -247,9 +254,6 @@ func (c *Controller) runRefresh(ctx context.Context, name string, cy *cycle) {
 		}
 		c.mu.Lock()
 		c.lastPinned[name] = &res
-		if !res.Pass {
-			delete(c.cycles, name)
-		}
 		c.mu.Unlock()
 		if !res.Pass {
 			c.emit(Event{
@@ -257,6 +261,9 @@ func (c *Controller) runRefresh(ctx context.Context, name string, cy *cycle) {
 				Reason: Reason{Kind: "pinned_regress", Value: res.Candidate.Median, Threshold: res.Live.Median * res.MaxRegress},
 				Pinned: &res,
 			})
+			c.mu.Lock()
+			delete(c.cycles, name)
+			c.mu.Unlock()
 			return
 		}
 	}

@@ -254,6 +254,16 @@ func (m *Monitor) MarkRefreshed(name string) {
 	ns.lastRefresh = time.Now()
 }
 
+// Rearm clears name's trigger cooldown, so the next evaluated sample may
+// fire again — call it when a trigger was declined before any refresh ran
+// (the Controller does, for a skipped trigger).
+func (m *Monitor) Rearm(name string) {
+	ns := m.state(name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ns.lastTrigger = time.Time{}
+}
+
 // Run processes sampled queries until ctx is done: each is executed
 // against the ground-truth estimator and its q-error recorded, firing
 // triggers as thresholds trip. Run one goroutine per monitor.
