@@ -75,12 +75,7 @@ const (
 // matches it against the pending observation for the query's signature,
 // and the pair — or the unmatched actual, which is still training data —
 // is appended to the observation WAL.
-func (s *server) handleSketchActuals(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
+func (s *server) handleSketchActuals(w http.ResponseWriter, r *http.Request, e *sketchEntry) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxActualsBody)
 	var req actualsReq
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -100,8 +95,7 @@ func (s *server) handleSketchActuals(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("client ID is %d bytes, limit %d", len(req.Client), maxClientIDBytes))
 		return
 	}
-	d := s.datasets[e.Dataset]
-	q, err := deepsketch.ParseSQL(d, req.SQL)
+	q, err := deepsketch.ParseSQL(e.ds.db, req.SQL)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -123,11 +117,11 @@ func (s *server) handleSketchActuals(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sig := q.Signature()
-	ver, est, qerr, matched := s.monitors[e.Dataset].ResolveActual(e.Name, sig, req.Actual)
-	if l := s.wals[e.Dataset]; l != nil {
+	ver, est, qerr, matched := e.ds.drift.ResolveActual(e.Name, sig, req.Actual)
+	if l := e.ds.wal; l != nil {
 		rec := deepsketch.WALRecord{
 			Kind: deepsketch.WALActual, Name: e.Name, Version: ver,
-			Signature: sig, SQL: q.SQL(d),
+			Signature: sig, SQL: q.SQL(e.ds.db),
 			Estimate: est, Actual: req.Actual, Client: req.Client,
 		}
 		if err := l.Append(rec); err != nil {
@@ -150,14 +144,16 @@ func (s *server) handleSketchActuals(w http.ResponseWriter, r *http.Request) {
 // layer, unparseable SQL (e.g. from a schema change) is counted and
 // dropped.
 func (s *server) replayWAL() {
-	for dataset, l := range s.wals {
-		mon := s.monitors[dataset]
-		d := s.datasets[dataset]
+	for name, ds := range s.datasets {
+		l, mon := ds.wal, ds.drift
+		if l == nil {
+			continue
+		}
 		var pending, resolved, skipped int
 		err := l.Replay(func(r deepsketch.WALRecord) {
 			switch r.Kind {
 			case deepsketch.WALObservation:
-				q, err := deepsketch.ParseSQL(d, r.SQL)
+				q, err := deepsketch.ParseSQL(ds.db, r.SQL)
 				if err != nil {
 					skipped++
 					return
@@ -181,39 +177,37 @@ func (s *server) replayWAL() {
 			}
 		})
 		if err != nil {
-			log.Printf("deepsketchd: wal replay for %s: %v", dataset, err)
+			log.Printf("deepsketchd: wal replay for %s: %v", name, err)
 			continue
 		}
 		if st := l.Stats(); st.Replayed > 0 || st.Truncated > 0 {
 			log.Printf("deepsketchd: wal replay for %s: %d records (%d re-parked, %d resolved, %d skipped, %d torn segments)",
-				dataset, st.Replayed, pending, resolved, skipped, st.Truncated)
+				name, st.Replayed, pending, resolved, skipped, st.Truncated)
 		}
 	}
 }
 
 // walActualCount is the number of distinct logged actuals the dataset's
 // WAL holds for the sketch (0 without a WAL).
-func (s *server) walActualCount(dataset, sketchName string) int {
-	if l := s.wals[dataset]; l != nil {
-		return l.ActualCount(sketchName)
+func (ds *dataset) walActualCount(sketchName string) int {
+	if ds.wal != nil {
+		return ds.wal.ActualCount(sketchName)
 	}
 	return 0
 }
 
 // walWorkload converts the WAL's recent actuals for a sketch into a
 // labeled fine-tune workload (newest-first distinct signatures, capped at
-// -wal-delta). Records that no longer parse against the schema are
-// dropped.
-func (s *server) walWorkload(dataset, sketchName string) []deepsketch.LabeledQuery {
-	l := s.wals[dataset]
-	if l == nil {
+// max, the -wal-delta flag). Records that no longer parse against the
+// schema are dropped.
+func (ds *dataset) walWorkload(sketchName string, max int) []deepsketch.LabeledQuery {
+	if ds.wal == nil {
 		return nil
 	}
-	d := s.datasets[dataset]
-	recs := l.RecentActuals(sketchName, s.walDelta)
+	recs := ds.wal.RecentActuals(sketchName, max)
 	out := make([]deepsketch.LabeledQuery, 0, len(recs))
 	for _, r := range recs {
-		q, err := deepsketch.ParseSQL(d, r.SQL)
+		q, err := deepsketch.ParseSQL(ds.db, r.SQL)
 		if err != nil {
 			continue
 		}
@@ -228,19 +222,19 @@ func (s *server) walWorkload(dataset, sketchName string) []deepsketch.LabeledQue
 // are pruned to -retain-versions non-live versions. One policy spans both
 // — the feedback that produced a version and the version artifact itself
 // age out together.
-func (s *server) applyRetention(dataset string, e *sketchEntry) {
-	if l := s.wals[dataset]; l != nil {
+func (s *server) applyRetention(e *sketchEntry) {
+	if l, dataset := e.ds.wal, e.Dataset; l != nil {
 		if err := l.Checkpoint(); err != nil {
 			log.Printf("deepsketchd: wal checkpoint for %s: %v", dataset, err)
-		} else if s.retainWALBytes > 0 {
-			if n, err := l.Prune(s.retainWALBytes); err != nil {
+		} else if s.opts.retainWALBytes > 0 {
+			if n, err := l.Prune(s.opts.retainWALBytes); err != nil {
 				log.Printf("deepsketchd: wal prune for %s: %v", dataset, err)
 			} else if n > 0 {
-				log.Printf("deepsketchd: wal for %s pruned %d checkpointed segments (budget %d bytes)", dataset, n, s.retainWALBytes)
+				log.Printf("deepsketchd: wal for %s pruned %d checkpointed segments (budget %d bytes)", dataset, n, s.opts.retainWALBytes)
 			}
 		}
 	}
-	if s.retainVersions > 0 {
+	if s.opts.retainVersions > 0 {
 		s.pruneVersionFiles(e)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // ground truth: every sampled estimate parks pending until a client POSTs
 // the observed actual.
 func noTruthServer(driftCfg deepsketch.DriftConfig, ctrlCfg deepsketch.DriftControllerConfig, walDir string) *server {
-	return newServerOpts(serverOptions{
+	return newServer(serverOptions{
 		titles: 600, orders: 300, seed: 2,
 		driftCfg: driftCfg, ctrlCfg: ctrlCfg,
 		walDir: walDir, driftTruth: false,
@@ -79,8 +79,8 @@ func TestActualsEndpointSemantics(t *testing.T) {
 	if rec := post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: sql}); rec.Code != http.StatusOK {
 		t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 	}
-	srv.monitors["imdb"].Drain(context.Background())
-	if st := srv.monitors["imdb"].Status("actuals api"); st.Pending != 1 {
+	srv.datasets["imdb"].drift.Drain(context.Background())
+	if st := srv.datasets["imdb"].drift.Status("actuals api"); st.Pending != 1 {
 		t.Fatalf("pending = %d before the actual, want 1", st.Pending)
 	}
 	var resp struct {
@@ -100,7 +100,7 @@ func TestActualsEndpointSemantics(t *testing.T) {
 	if !resp.Admitted || !resp.Matched || resp.Version != 1 || resp.QError < 1 {
 		t.Fatalf("matched resolve = %+v", resp)
 	}
-	st := srv.monitors["imdb"].Status("actuals api")
+	st := srv.datasets["imdb"].drift.Status("actuals api")
 	if st.Pending != 0 || len(st.Versions) != 1 || st.Versions[0].Samples != 1 {
 		t.Fatalf("post-resolve monitor state: %+v", st)
 	}
@@ -123,7 +123,7 @@ func TestActualsEndpointSemantics(t *testing.T) {
 		t.Errorf("capped response missing Retry-After: %v", rec.Header())
 	}
 	// A capped record must not reach the monitor as training signal.
-	if st := srv.monitors["imdb"].Status("actuals api"); st.Unmatched != 1 {
+	if st := srv.datasets["imdb"].drift.Status("actuals api"); st.Unmatched != 1 {
 		t.Errorf("capped actual leaked into the monitor: %+v", st)
 	}
 	// Another client has its own budget.
@@ -173,9 +173,9 @@ func TestDriftStateSurvivesRestart(t *testing.T) {
 			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 		}
 	}
-	srv1.monitors["imdb"].Drain(context.Background())
+	srv1.datasets["imdb"].drift.Drain(context.Background())
 	// Resolve five of the eight; three stay pending — mid-episode.
-	d := srv1.datasets["imdb"]
+	d := srv1.datasets["imdb"].db
 	for _, sql := range sqls[:5] {
 		q, err := deepsketch.ParseSQL(d, sql)
 		if err != nil {
@@ -189,7 +189,7 @@ func TestDriftStateSurvivesRestart(t *testing.T) {
 			t.Fatalf("actual: %d %s", rec.Code, rec.Body)
 		}
 	}
-	before := srv1.monitors["imdb"].Status("episode")
+	before := srv1.datasets["imdb"].drift.Status("episode")
 	if before.Pending != 3 || len(before.Versions) != 1 || before.Versions[0].Samples != 5 {
 		t.Fatalf("pre-restart state: %+v", before)
 	}
@@ -202,7 +202,7 @@ func TestDriftStateSurvivesRestart(t *testing.T) {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
 	srv2.replayWAL()
-	after := srv2.monitors["imdb"].Status("episode")
+	after := srv2.datasets["imdb"].drift.Status("episode")
 	if after.Pending != 3 {
 		t.Errorf("pending after restart = %d, want 3", after.Pending)
 	}
@@ -244,7 +244,7 @@ func TestDriftStateSurvivesRestart(t *testing.T) {
 // unmatched-actual marker).
 func TestReplayResolvedZeroEstimate(t *testing.T) {
 	srv := noTruthServer(deepsketch.DriftConfig{SampleEvery: 1, Window: 64, QueueSize: 4096}, deepsketch.DriftControllerConfig{}, t.TempDir())
-	err := srv.wals["imdb"].Append(deepsketch.WALRecord{
+	err := srv.datasets["imdb"].wal.Append(deepsketch.WALRecord{
 		Kind: deepsketch.WALActual, Name: "zero-est", Version: 1,
 		Signature: "sig-0", SQL: "SELECT COUNT(*) FROM title", Estimate: 0, Actual: 5,
 	})
@@ -252,7 +252,7 @@ func TestReplayResolvedZeroEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.replayWAL()
-	st := srv.monitors["imdb"].Status("zero-est")
+	st := srv.datasets["imdb"].drift.Status("zero-est")
 	if len(st.Versions) != 1 || st.Versions[0].Samples != 1 {
 		t.Fatalf("zero-estimate resolved record dropped at replay: %+v", st.Versions)
 	}
@@ -280,7 +280,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	h := srv.routes()
 	id := buildReadySketch(t, h, "no truth")
 	ctx := context.Background()
-	d := srv.datasets["imdb"]
+	d := srv.datasets["imdb"].db
 
 	// Enough distinct queries that the WAL accumulates >= walDeltaMin
 	// distinct logged actuals — the refresh must come from observed traffic.
@@ -307,7 +307,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 				t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 			}
 		}
-		srv.monitors["imdb"].Drain(ctx)
+		srv.datasets["imdb"].drift.Drain(ctx)
 		for _, sql := range sqls {
 			if rec := postActual(t, h, id, sql, truths[sql], "app"); rec.Code != http.StatusOK {
 				t.Fatalf("actual: %d %s", rec.Code, rec.Body)
@@ -320,15 +320,15 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	feed(h)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, ok := srv.registries["imdb"].Canary("no truth"); ok {
+		if _, ok := srv.datasets["imdb"].reg.Canary("no truth"); ok {
 			break
 		}
-		if cy := srv.controllers["imdb"].Cycle("no truth"); cy.State == "idle" && cy.LastError != "" {
+		if cy := srv.datasets["imdb"].ctrl.Cycle("no truth"); cy.State == "idle" && cy.LastError != "" {
 			t.Fatalf("drift cycle failed: %s", cy.LastError)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no canary; cycle=%+v monitor=%+v",
-				srv.controllers["imdb"].Cycle("no truth"), srv.monitors["imdb"].Status("no truth"))
+				srv.datasets["imdb"].ctrl.Cycle("no truth"), srv.datasets["imdb"].drift.Status("no truth"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -342,23 +342,23 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	deadline = time.Now().Add(60 * time.Second)
 	for {
 		feed(h)
-		srv.controllers["imdb"].Tick()
+		srv.datasets["imdb"].ctrl.Tick()
 		status, version, canary := entryState(t, h, id)
 		if status == "ready" && version == 2 && canary == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("never promoted; status=%s version=%d cycle=%+v",
-				status, version, srv.controllers["imdb"].Cycle("no truth"))
+				status, version, srv.datasets["imdb"].ctrl.Cycle("no truth"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	// Not one exact execution happened inside the daemon.
-	if st := srv.monitors["imdb"].Status("no truth"); st.TruthErrors != 0 {
+	if st := srv.datasets["imdb"].drift.Status("no truth"); st.TruthErrors != 0 {
 		t.Errorf("truth errors = %d on a truthless monitor", st.TruthErrors)
 	}
 	// The promote checkpointed the WAL (retention's replay bound).
-	if st := srv.wals["imdb"].Stats(); st.CheckpointSeq == 0 {
+	if st := srv.datasets["imdb"].wal.Stats(); st.CheckpointSeq == 0 {
 		t.Errorf("no WAL checkpoint after promote: %+v", st)
 	}
 	// The drift endpoint surfaces the feedback loop's observability.
@@ -388,7 +388,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 	if status != "ready" || version != 2 || canary != nil {
 		t.Fatalf("restarted entry: status=%s version=%d canary=%+v", status, version, canary)
 	}
-	st := srv2.monitors["imdb"].Status("no truth")
+	st := srv2.datasets["imdb"].drift.Status("no truth")
 	if len(st.Versions) == 0 {
 		t.Fatalf("windows empty after restart: %+v", st)
 	}
@@ -413,7 +413,7 @@ func TestNoTruthAutoLoopEndToEnd(t *testing.T) {
 func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 	dir := t.TempDir()
 	store, walDir := filepath.Join(dir, "store"), filepath.Join(dir, "wal")
-	srv := newServerOpts(serverOptions{
+	srv := newServer(serverOptions{
 		titles: 600, orders: 300, seed: 2,
 		driftCfg: deepsketch.DriftConfig{SampleEvery: 1, Window: 64, QueueSize: 4096},
 		walDir:   walDir, driftTruth: false,
@@ -430,7 +430,7 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 		if rec := post(t, h, "/api/estimate", estimateReq{SketchID: id, SQL: sql}); rec.Code != http.StatusOK {
 			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 		}
-		srv.monitors["imdb"].Drain(context.Background())
+		srv.datasets["imdb"].drift.Drain(context.Background())
 		if rec := post(t, h, fmt.Sprintf("/api/sketches/%d/refresh", id), map[string]any{"queries": 80, "epochs": 1, "workers": 2}); rec.Code != http.StatusAccepted {
 			t.Fatalf("refresh: %d %s", rec.Code, rec.Body)
 		}
@@ -442,7 +442,7 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 
 	e := srv.entryByName("imdb", "retained")
 	e.adminMu.Lock()
-	srv.applyRetention("imdb", e)
+	srv.applyRetention(e)
 	e.adminMu.Unlock()
 
 	// retain-versions 1: live v4 + newest non-live v3 survive on disk.
@@ -455,12 +455,12 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 	}
 	// retain-wal-bytes 1: every checkpointed segment is pruned; only the
 	// fresh active segment remains.
-	if st := srv.wals["imdb"].Stats(); st.CheckpointSeq == 0 || st.Segments != 1 {
+	if st := srv.datasets["imdb"].wal.Stats(); st.CheckpointSeq == 0 || st.Segments != 1 {
 		t.Errorf("wal after retention: %+v, want checkpointed and pruned to the active segment", st)
 	}
 
 	// Restart over the pruned store: v3/v4 restore, v1/v2 are pruned gaps.
-	srv2 := newServer(600, 300, 2)
+	srv2 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv2.store = store
 	if n, err := srv2.loadStore(); err != nil || n != 1 {
 		t.Fatalf("restore over pruned store: n=%d err=%v", n, err)
@@ -469,7 +469,7 @@ func TestRetentionPrunesStoreAndWAL(t *testing.T) {
 	if _, ver, _ := entryState(t, h2, 1); ver != 4 {
 		t.Fatalf("restored live version %d, want 4", ver)
 	}
-	vs, err := srv2.registries["imdb"].Versions("retained")
+	vs, err := srv2.datasets["imdb"].reg.Versions("retained")
 	if err != nil || len(vs) != 4 {
 		t.Fatalf("restored history: %+v, %v", vs, err)
 	}

@@ -153,7 +153,7 @@ func TestCanaryEndpointsFlow(t *testing.T) {
 	if status != "ready" || version != 2 || canary != nil {
 		t.Fatalf("post-abort: status=%s version=%d canary=%+v", status, version, canary)
 	}
-	vs, err := srv.registries["imdb"].Versions("canary flow")
+	vs, err := srv.datasets["imdb"].reg.Versions("canary flow")
 	if err != nil || len(vs) != 3 || !vs[1].Live {
 		t.Fatalf("history after abort: %+v, %v", vs, err)
 	}

@@ -18,21 +18,23 @@ import (
 // transition. The monitor queue and gate are driven explicitly (Drain and
 // Tick) instead of background loops, keeping the test deterministic.
 func TestAutoDriftLoopDaemon(t *testing.T) {
-	srv := newServerWithDrift(800, 400, 3,
-		deepsketch.DriftConfig{
+	srv := newServer(serverOptions{
+		titles: 800, orders: 400, seed: 3, driftTruth: true,
+		driftCfg: deepsketch.DriftConfig{
 			// Sample everything, judge after 6 samples, and treat any median
 			// q-error above 1.01 as drift — a deliberately hair-trigger
 			// config so the tiny fixture sketch provably trips it.
 			SampleEvery: 1, Window: 64, MinSamples: 6,
 			MaxMedianQ: 1.01, Cooldown: time.Hour, QueueSize: 4096,
 		},
-		deepsketch.DriftControllerConfig{
+		ctrlCfg: deepsketch.DriftControllerConfig{
 			// The gate is intentionally lax (ratio 100): this test is about
 			// the daemon wiring, not the gate's judgement — the drift
 			// package's e2e test covers that.
 			CanaryFraction: 0.5, PromoteAfter: 3, MaxQRatio: 100,
 			Epochs: 1, Workers: 2,
-		})
+		},
+	})
 	h := srv.routes()
 	id := buildReadySketch(t, h, "auto drift")
 	ctx := context.Background()
@@ -54,18 +56,18 @@ func TestAutoDriftLoopDaemon(t *testing.T) {
 	// Phase 1: traffic + drain until the trigger fires and the controller's
 	// background cycle lands the canary.
 	traffic()
-	srv.monitors["imdb"].Drain(ctx)
+	srv.datasets["imdb"].drift.Drain(ctx)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, ok := srv.registries["imdb"].Canary("auto drift"); ok {
+		if _, ok := srv.datasets["imdb"].reg.Canary("auto drift"); ok {
 			break
 		}
-		if cy := srv.controllers["imdb"].Cycle("auto drift"); cy.State == "idle" && cy.LastError != "" {
+		if cy := srv.datasets["imdb"].ctrl.Cycle("auto drift"); cy.State == "idle" && cy.LastError != "" {
 			t.Fatalf("drift cycle failed: %s", cy.LastError)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no canary appeared; cycle=%+v monitor=%+v",
-				srv.controllers["imdb"].Cycle("auto drift"), srv.monitors["imdb"].Status("auto drift"))
+				srv.datasets["imdb"].ctrl.Cycle("auto drift"), srv.datasets["imdb"].drift.Status("auto drift"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -76,15 +78,15 @@ func TestAutoDriftLoopDaemon(t *testing.T) {
 	deadline = time.Now().Add(60 * time.Second)
 	for {
 		traffic()
-		srv.monitors["imdb"].Drain(ctx)
-		srv.controllers["imdb"].Tick()
+		srv.datasets["imdb"].drift.Drain(ctx)
+		srv.datasets["imdb"].ctrl.Tick()
 		status, version, canary := entryState(t, h, id)
 		if status == "ready" && version == 2 && canary == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("canary never promoted; status=%s version=%d canary=%+v cycle=%+v",
-				status, version, canary, srv.controllers["imdb"].Cycle("auto drift"))
+				status, version, canary, srv.datasets["imdb"].ctrl.Cycle("auto drift"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -76,12 +76,13 @@ func TestDuplicateSketchNameConflicts(t *testing.T) {
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("duplicate name status = %d, want 409 (%s)", rec.Code, rec.Body)
 	}
-	// Same name on the other dataset is a different fleet — allowed.
+	// Same name on the other dataset would share the store directory
+	// (named by the sanitized sketch name alone) — refused too.
 	rec = post(t, h, "/api/sketches", createReq{
 		Name: "dup", Dataset: "tpch", SampleSize: 24, TrainQueries: 100, Epochs: 1, HiddenUnits: 8, Seed: 2,
 	})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("same name on other dataset status = %d", rec.Code)
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("same name on other dataset status = %d, want 409", rec.Code)
 	}
 	_ = id
 }
@@ -228,5 +229,25 @@ func TestRefreshEndpoint(t *testing.T) {
 	// Refresh of a missing sketch 404s.
 	if rec := post(t, h, "/api/sketches/999/refresh", refreshReq{}); rec.Code != http.StatusNotFound {
 		t.Errorf("missing sketch refresh status = %d", rec.Code)
+	}
+}
+
+// TestFailedEntryDoesNotShadowItsName: a failed build leaves its entry in
+// the list and frees its name, so a second entry may reuse it. Drift events
+// and triggers name the sketch, not the entry; they must resolve to the
+// entry that serves it, never the failed one.
+func TestFailedEntryDoesNotShadowItsName(t *testing.T) {
+	srv := testServer(t)
+	h := srv.routes()
+	rec := post(t, h, "/api/sketches", createReq{Name: "retried", Dataset: "imdb", Tables: []string{"no_such_table"}})
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("create status %d: %s", rec.Code, rec.Body)
+	}
+	srv.bg.Wait()
+	id := buildReadySketch(t, h, "retried")
+	for i := 0; i < 20; i++ {
+		if e := srv.entryByName("imdb", "retried"); e == nil || e.ID != id {
+			t.Fatalf("entryByName resolved %+v, want the ready entry %d", e, id)
+		}
 	}
 }

@@ -14,7 +14,7 @@
 //
 //	GET  /api/datasets                 schemas of the available datasets
 //	GET  /api/sketches                 sketch list with build status
-//	POST /api/sketches                 define a sketch (async build; 409 on duplicate name)
+//	POST /api/sketches                 define a sketch (async build; 409 if its store directory is taken)
 //	GET  /api/sketches/{id}            status, progress, epochs, version history, canary
 //	PUT  /api/sketches/{id}            upload a sketch file and swap it in as a new version
 //	GET  /api/sketches/{id}/download   serialized sketch file
@@ -79,23 +79,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"deepsketch"
-	"deepsketch/internal/trainmon"
 )
 
 func main() {
@@ -147,7 +139,7 @@ func main() {
 		}
 		driftCfg.MaxMedianQ, driftCfg.MaxP95Q, driftCfg.MaxStaleness = 0, 0, 0
 	}
-	srv := newServerOpts(serverOptions{
+	srv := newServer(serverOptions{
 		titles: *titles, orders: *orders, seed: *seed,
 		driftCfg: driftCfg,
 		ctrlCfg: deepsketch.DriftControllerConfig{
@@ -192,20 +184,24 @@ func main() {
 	// write or a WAL append mid-record.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	for _, mon := range srv.monitors {
-		go mon.Run(ctx)
+	for _, ds := range srv.datasets {
+		go ds.drift.Run(ctx)
+		if *driftAuto {
+			go ds.ctrl.Run(ctx, *driftInterval)
+		}
 	}
 	if *driftAuto {
-		for _, ctrl := range srv.controllers {
-			go ctrl.Run(ctx, *driftInterval)
-		}
 		log.Printf("deepsketchd: automatic drift repair on (median>%v p95>%v staleness>%v, canary %g%%)",
 			*driftMedian, *driftP95, *driftStale, *canaryFraction*100)
 	}
 	log.Printf("deepsketchd listening on %s (imdb: %d total rows, tpch: %d total rows)",
-		*addr, srv.datasets["imdb"].TotalRows(), srv.datasets["tpch"].TotalRows())
+		*addr, srv.datasets["imdb"].db.TotalRows(), srv.datasets["tpch"].db.TotalRows())
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
+	// ListenAndServe returns as soon as Shutdown starts; Close waits for
+	// drained, since it stops the coalescers in-flight requests use.
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -216,1276 +212,9 @@ func main() {
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
+	<-drained
 	if err := srv.Close(); err != nil {
 		log.Printf("deepsketchd: shutdown: %v", err)
 	}
 	log.Printf("deepsketchd: shut down cleanly")
-}
-
-// sketchEntry tracks one sketch through its lifecycle.
-type sketchEntry struct {
-	ID      int    `json:"id"`
-	Name    string `json:"name"`
-	Dataset string `json:"dataset"`
-	Status  string `json:"status"` // building | ready | refreshing | failed
-	Error   string `json:"error,omitempty"`
-	// Version is the serving sketch version in the dataset's lifecycle
-	// registry: 1 after the initial build, bumped by every upload-and-swap
-	// or refresh, moved back by rollback.
-	Version int       `json:"version,omitempty"`
-	Created time.Time `json:"created"`
-	sketch  *deepsketch.Sketch
-	// serving is the entry's serving stack: an LRU estimate cache over a
-	// clamped, drift-observed, micro-batching coalescer over the registry's
-	// per-name view. All request traffic to this sketch goes through it.
-	// The stack is built once and survives every version change: the
-	// registry view routes each query to whichever version (live or canary
-	// split) should answer it, and cache keys embed that serving version —
-	// so a swap, canary or rollback can never surface a previous version's
-	// cached answer, and only the remapped queries' entries go cold.
-	serving deepsketch.Estimator
-	mon     *deepsketch.Monitor
-	// adminMu serializes version-changing admin operations on this entry
-	// (upload-and-swap, refresh start/completion, rollback): each is a
-	// check-then-act sequence across the registry, the entry fields and the
-	// store file, and interleaving two of them could leave the entry's
-	// serving stack and persisted file pointing at a different version than
-	// the registry serves. Held around whole operations; s.mu (which only
-	// guards field access) nests inside it.
-	adminMu sync.Mutex
-}
-
-// baseline holds a dataset's demo overlays: the exact executor and the
-// HyPer- and PostgreSQL-style estimators the demo chart compares a Deep
-// Sketch against. They run only when a request asks for "truth".
-type baseline struct {
-	truth deepsketch.Estimator
-	hyper deepsketch.Estimator
-	pg    deepsketch.Estimator
-}
-
-// overlay runs the exact executor and both baseline estimators on q.
-func (b baseline) overlay(ctx context.Context, q deepsketch.Query) (truth int64, hyper, pg float64, err error) {
-	t, err := b.truth.Estimate(ctx, q)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	h, err := b.hyper.Estimate(ctx, q)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	p, err := b.pg.Estimate(ctx, q)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return int64(t.Cardinality), h.Cardinality, p.Cardinality, nil
-}
-
-type server struct {
-	datasets map[string]*deepsketch.DB
-	baseline map[string]baseline
-	// registries hold each dataset's versioned sketch fleet: auto-routed
-	// queries dispatch through the registry's router to the most specific
-	// ready sketch, and the admin endpoints publish, swap, refresh, canary
-	// and roll back versions through the registry. auto wraps each router
-	// in the serving chain Router → PostgreSQL, so a query no sketch covers
-	// still gets an answer instead of an error.
-	registries map[string]*deepsketch.SketchRegistry
-	auto       map[string]*deepsketch.EstimateCache
-	// monitors watch each dataset's live estimate quality (drift windows);
-	// controllers close the loop (trigger → refresh → canary → gate). The
-	// monitor queues are only drained once main starts their Run loops, or
-	// when a drift cycle drains them explicitly.
-	monitors    map[string]*deepsketch.DriftMonitor
-	controllers map[string]*deepsketch.DriftController
-
-	// wals hold each dataset's observation WAL (nil entries when -wal is
-	// unset): the durable log of served estimates and observed actuals the
-	// drift monitors journal to and are rebuilt from at startup.
-	wals map[string]*deepsketch.ObservationLog
-	// pinned holds each dataset's frozen pinned benchmark (empty map when
-	// -pinned-benchmark is unset); pinnedMaxRegress is the rail tolerance.
-	pinned           map[string]*deepsketch.PinnedBenchmark
-	pinnedMaxRegress float64
-	// admit rate-limits the logged-actuals ingest path per client.
-	admit *deepsketch.ActualsAdmitter
-	// walDelta caps how many WAL-logged actuals a refresh delta workload
-	// draws; retainVersions / retainWALBytes are the retention knobs applied
-	// after a promote.
-	walDelta       int
-	retainVersions int
-	retainWALBytes int64
-	// walWorkloads counts refreshes whose delta workload came from the WAL
-	// (vs synthetic generation) — observability for the feedback loop.
-	walWorkloads atomic.Uint64
-	// driftTruth reports whether the exact executor grades the drift
-	// monitors' samples; without it, automatic refreshes train on logged
-	// actuals only.
-	driftTruth bool
-
-	// store, when non-empty, is a directory where ready sketches are
-	// persisted and from which they are restored at startup.
-	store string
-
-	mu       sync.RWMutex
-	sketches map[int]*sketchEntry
-	nextID   int
-
-	// bg tracks every background build/refresh goroutine the server
-	// launches. Close joins it before releasing the WALs: without the
-	// join, Close could return — and a test or the process could tear the
-	// store directory down — while a build is still writing sketch files.
-	bg sync.WaitGroup
-}
-
-// Close joins the in-flight background build/refresh goroutines and then
-// closes the observation WALs. After it returns no goroutine owned by
-// this server is touching the store directory or the WAL files.
-func (s *server) Close() error {
-	s.bg.Wait()
-	var firstErr error
-	for name, l := range s.wals {
-		if l == nil {
-			continue
-		}
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("closing %s wal: %w", name, err)
-		}
-	}
-	return firstErr
-}
-
-// serverOptions parameterizes newServerOpts.
-type serverOptions struct {
-	titles, orders int
-	seed           int64
-	driftCfg       deepsketch.DriftConfig
-	ctrlCfg        deepsketch.DriftControllerConfig
-	// walDir, when non-empty, roots per-dataset observation WALs at
-	// walDir/<dataset>.
-	walDir string
-	// driftTruth keeps the exact executor as the monitors' in-process
-	// ground-truth source; false drops it from the serving path entirely —
-	// actuals arrive only via POST /api/sketches/{id}/actuals.
-	driftTruth     bool
-	admitCfg       deepsketch.AdmitConfig
-	walDelta       int
-	retainVersions int
-	retainWALBytes int64
-	// pinnedDir, when non-empty, roots per-dataset pinned benchmarks at
-	// pinnedDir/<dataset>.workload — the frozen held-out sets the drift
-	// controllers judge refresh candidates against before any canary.
-	// Missing files are generated from the dataset and persisted at boot.
-	pinnedDir        string
-	pinnedMaxRegress float64
-}
-
-func newServer(titles, orders int, seed int64) *server {
-	return newServerWithDrift(titles, orders, seed, deepsketch.DriftConfig{}, deepsketch.DriftControllerConfig{})
-}
-
-func newServerWithDrift(titles, orders int, seed int64, driftCfg deepsketch.DriftConfig, ctrlCfg deepsketch.DriftControllerConfig) *server {
-	return newServerOpts(serverOptions{
-		titles: titles, orders: orders, seed: seed,
-		driftCfg: driftCfg, ctrlCfg: ctrlCfg, driftTruth: true,
-	})
-}
-
-func newServerOpts(opts serverOptions) *server {
-	s := &server{
-		datasets: map[string]*deepsketch.DB{
-			"imdb": deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: opts.seed, Titles: opts.titles}),
-			"tpch": deepsketch.NewTPCH(deepsketch.TPCHConfig{Seed: opts.seed, Orders: opts.orders}),
-		},
-		baseline:         map[string]baseline{},
-		registries:       map[string]*deepsketch.SketchRegistry{},
-		auto:             map[string]*deepsketch.EstimateCache{},
-		monitors:         map[string]*deepsketch.DriftMonitor{},
-		controllers:      map[string]*deepsketch.DriftController{},
-		wals:             map[string]*deepsketch.ObservationLog{},
-		pinned:           map[string]*deepsketch.PinnedBenchmark{},
-		pinnedMaxRegress: opts.pinnedMaxRegress,
-		admit:            deepsketch.NewActualsAdmitter(opts.admitCfg),
-		walDelta:         opts.walDelta,
-		retainVersions:   opts.retainVersions,
-		retainWALBytes:   opts.retainWALBytes,
-		driftTruth:       opts.driftTruth,
-		sketches:         map[int]*sketchEntry{},
-		nextID:           1,
-	}
-	if s.walDelta <= 0 {
-		s.walDelta = 512
-	}
-	seed, driftCfg, ctrlCfg := opts.seed, opts.driftCfg, opts.ctrlCfg
-	for name, d := range s.datasets {
-		hyper, err := deepsketch.HyperEstimator(d, 1000, seed)
-		if err != nil {
-			log.Fatalf("baseline for %s: %v", name, err)
-		}
-		pg := deepsketch.PostgresEstimator(d)
-		exact := deepsketch.TruthEstimator(d)
-		s.baseline[name] = baseline{truth: exact, hyper: hyper, pg: pg}
-		reg := deepsketch.NewSketchRegistry()
-		s.registries[name] = reg
-		// The observation WAL journals every pending/resolved monitor
-		// transition for this dataset; replayWAL rebuilds monitor state from
-		// it after a restart.
-		if opts.walDir != "" {
-			l, err := deepsketch.OpenObservationLog(filepath.Join(opts.walDir, name), deepsketch.WALOptions{})
-			if err != nil {
-				log.Fatalf("wal for %s: %v", name, err)
-			}
-			s.wals[name] = l
-			driftCfg.Journal = &walJournal{d: d, log: l}
-		} else {
-			driftCfg.Journal = nil
-		}
-		// The drift monitor windows q-errors per sketch version; with
-		// -drift-truth it ground-truths sampled estimates against the exact
-		// executor (the demo's HyPer role), without it every sampled estimate
-		// parks pending until a logged actual arrives. The controller turns
-		// monitor triggers into automatic refresh+canary cycles.
-		var truth deepsketch.Estimator
-		if opts.driftTruth {
-			truth = exact
-		}
-		mon := deepsketch.NewDriftMonitor(driftCfg, truth)
-		s.monitors[name] = mon
-		dcc := ctrlCfg
-		dataset := name
-		// The pinned-benchmark rail: a frozen clean labeled set per dataset,
-		// loaded (or generated once and persisted) at boot, that every
-		// refresh candidate must not regress on before its canary starts.
-		// Unlike the live windows and the WAL-derived delta workload — both
-		// functions of observed traffic, which an adaptive feedback source
-		// controls — the pinned set predates any attack traffic.
-		if opts.pinnedDir != "" {
-			pb, err := loadOrCreatePinned(d, filepath.Join(opts.pinnedDir, name+".workload"), opts.seed)
-			if err != nil {
-				log.Fatalf("pinned benchmark for %s: %v", name, err)
-			}
-			s.pinned[name] = pb
-			dcc.Pinned = pb
-			dcc.PinnedMaxRegress = opts.pinnedMaxRegress
-		}
-		dcc.Workload = func(ctx context.Context, sketchName string) ([]deepsketch.LabeledQuery, error) {
-			return s.deltaWorkload(ctx, dataset, sketchName)
-		}
-		dcc.OnEvent = func(ev deepsketch.DriftEvent) { s.onDriftEvent(dataset, ev) }
-		// A trigger that fires while an operator's refresh/canary fine-tune
-		// is still training (entry "refreshing", no canary installed yet)
-		// must not start a second concurrent retrain of the same sketch.
-		// Without the exact executor, a trigger also waits until the WAL
-		// holds enough logged actuals to fine-tune on: checked here, on the
-		// goroutine that resolved the triggering actual, so the refresh
-		// never races the feedback it exists to learn from.
-		dcc.SkipTrigger = func(sketchName string) bool {
-			if !s.driftTruth && s.walActualCount(dataset, sketchName) < walDeltaMin {
-				return true
-			}
-			e := s.entryByName(dataset, sketchName)
-			if e == nil {
-				return false
-			}
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			return e.Status != "ready"
-		}
-		s.controllers[name] = deepsketch.NewDriftController(reg, mon, dcc)
-		// Auto-routed traffic gets the same serving treatment as explicit
-		// sketch requests: coalesced batched inference behind the router,
-		// clamped, PostgreSQL fallback for uncovered queries, all cached.
-		// The fallback sits inside the coalescer so a coalesced batch that
-		// contains uncovered queries bisects into batched router calls plus
-		// per-query PostgreSQL answers, instead of failing wholesale and
-		// serializing the whole flush. The drift monitor taps the router
-		// path below the cache (hits repeat known answers). The cache is
-		// keyed by the router's CacheKey — the query signature qualified by
-		// the answering sketch version — which keeps it coherent across
-		// every registry mutation with no wholesale invalidation: a swap,
-		// canary start, re-fraction, promote or rollback changes the key of
-		// exactly the queries whose answering version changed, so their old
-		// entries are simply never looked up again while the rest of the
-		// cache stays warm.
-		s.auto[name] = deepsketch.WithCache(
-			deepsketch.NewCoalescer(
-				deepsketch.Fallback(
-					deepsketch.ObserveEstimates(
-						deepsketch.Clamp(reg.Router(), deepsketch.MaxCardinality(d)), mon),
-					pg),
-				deepsketch.CoalesceOptions{}),
-			1024).KeyFunc(reg.Router().CacheKey)
-	}
-	return s
-}
-
-// walDeltaMin is the fewest distinct logged actuals worth fine-tuning on;
-// below it the synthetic generator produces a better-covered workload.
-const walDeltaMin = 32
-
-// deltaWorkload assembles the controller's fine-tune input for automatic
-// refreshes. When the observation WAL holds enough logged actuals for the
-// sketch, the delta workload IS the observed traffic — the most recent
-// distinct query signatures with their actual cardinalities, no synthetic
-// generation and no exact executor in the loop. Otherwise, if the exact
-// executor is configured (-drift-truth), it falls back to generating and
-// labeling a fresh synthetic workload over the sketch's tables, seeded by
-// the history length so consecutive cycles see fresh queries; without it
-// the refresh fails rather than label with the executor after all.
-func (s *server) deltaWorkload(_ context.Context, dataset, sketchName string) ([]deepsketch.LabeledQuery, error) {
-	d := s.datasets[dataset]
-	reg := s.registries[dataset]
-	live, _, err := reg.Live(sketchName)
-	if err != nil {
-		return nil, err
-	}
-	if lw := s.walWorkload(dataset, sketchName); len(lw) >= walDeltaMin {
-		s.walWorkloads.Add(1)
-		log.Printf("deepsketchd: refresh of %q fine-tuning on %d WAL-logged actuals", sketchName, len(lw))
-		return lw, nil
-	}
-	if !s.driftTruth {
-		return nil, fmt.Errorf("too few WAL-logged actuals for %q to fine-tune on (want %d) and no exact executor", sketchName, walDeltaMin)
-	}
-	histLen := 0
-	if vs, err := reg.Versions(sketchName); err == nil {
-		histLen = len(vs)
-	}
-	qs, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
-		Seed: int64(histLen + 1), Count: 1000, Tables: live.Cfg.Tables,
-		MaxJoins: live.Cfg.MaxJoins, MaxPreds: live.Cfg.MaxPreds, Dedup: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return deepsketch.LabelWorkload(d, qs, 0)
-}
-
-// onDriftEvent mirrors automatic drift-cycle transitions onto the sketch
-// entry and the persistent store, so the admin API and a restarted daemon
-// both see what the controller did.
-func (s *server) onDriftEvent(dataset string, ev deepsketch.DriftEvent) {
-	e := s.entryByName(dataset, ev.Name)
-	if e == nil {
-		return
-	}
-	reg := s.registries[dataset]
-	switch ev.Kind {
-	case "refresh_started":
-		log.Printf("deepsketchd: drift trigger on %q (%s): refreshing", ev.Name, ev.Reason)
-		s.mu.Lock()
-		if e.Status == "ready" {
-			e.Status = "refreshing"
-		}
-		s.mu.Unlock()
-	case "canary_started":
-		log.Printf("deepsketchd: drift refresh of %q canarying as v%d", ev.Name, ev.Version)
-		e.adminMu.Lock()
-		if sk, err := reg.Sketch(ev.Name, ev.Version); err == nil {
-			s.mu.Lock()
-			e.Status = "canarying"
-			s.mu.Unlock()
-			s.persistVersion(e, sk, ev.Version)
-		}
-		e.adminMu.Unlock()
-	case "promoted":
-		log.Printf("deepsketchd: canary v%d of %q promoted", ev.Version, ev.Name)
-		e.adminMu.Lock()
-		if sk, err := reg.Sketch(ev.Name, ev.Version); err == nil {
-			s.installVersion(e, sk, ev.Version, "ready", "")
-			s.persistState(e)
-			s.applyRetention(dataset, e)
-		}
-		e.adminMu.Unlock()
-	case "aborted":
-		log.Printf("deepsketchd: canary v%d of %q aborted (comparative q-error gate)", ev.Version, ev.Name)
-		e.adminMu.Lock()
-		if live, lv, err := reg.Live(ev.Name); err == nil {
-			s.installVersion(e, live, lv, "ready", fmt.Sprintf("canary v%d aborted by the q-error gate", ev.Version))
-			s.persistState(e)
-		}
-		e.adminMu.Unlock()
-	case "pinned_rejected":
-		if ev.Pinned != nil {
-			log.Printf("deepsketchd: drift refresh of %q rejected by the pinned benchmark: candidate median %.3g vs live %.3g (tolerance %.2fx), p95 %.3g vs %.3g",
-				ev.Name, ev.Pinned.Candidate.Median, ev.Pinned.Live.Median, ev.Pinned.MaxRegress,
-				ev.Pinned.Candidate.P95, ev.Pinned.Live.P95)
-		} else {
-			log.Printf("deepsketchd: drift refresh of %q rejected by the pinned benchmark", ev.Name)
-		}
-		s.mu.Lock()
-		if e.Status == "refreshing" {
-			e.Status = "ready"
-			e.Error = "drift refresh rejected: candidate regressed on the pinned benchmark"
-		}
-		s.mu.Unlock()
-	case "error":
-		log.Printf("deepsketchd: drift cycle for %q failed: %v", ev.Name, ev.Err)
-		s.mu.Lock()
-		if e.Status == "refreshing" {
-			e.Status = "ready"
-			e.Error = "drift refresh failed: " + ev.Err.Error()
-		}
-		s.mu.Unlock()
-	}
-}
-
-// entryByName finds the entry serving (dataset, name), or nil.
-func (s *server) entryByName(dataset, name string) *sketchEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range s.sketches {
-		if e.Dataset == dataset && e.Name == name {
-			return e
-		}
-	}
-	return nil
-}
-
-// markReady publishes a built sketch into the dataset's registry as a new
-// name (version 1), installs its serving stack and persists it.
-func (s *server) markReady(e *sketchEntry, sk *deepsketch.Sketch) {
-	ver, err := s.registries[e.Dataset].Publish(e.Name, sk)
-	if err != nil {
-		s.mu.Lock()
-		e.Status = "failed"
-		e.Error = err.Error()
-		s.mu.Unlock()
-		return
-	}
-	s.installVersion(e, sk, ver, "ready", "")
-	s.persistVersion(e, sk, ver)
-}
-
-// installVersion points the entry at a (new or rolled-back) sketch version.
-// The serving stack is built once, on the first install, and shared across
-// versions: it serves through the registry's per-name view, whose answers
-// and cache keys are version-aware, so a version change needs no stack
-// rebuild — the old version's cache lines simply stop being looked up.
-func (s *server) installVersion(e *sketchEntry, sk *deepsketch.Sketch, ver int, status, errMsg string) {
-	s.mu.Lock()
-	if e.serving == nil {
-		d := s.datasets[e.Dataset]
-		reg := s.registries[e.Dataset]
-		e.serving = deepsketch.WithCache(
-			deepsketch.ObserveEstimates(
-				deepsketch.Clamp(
-					deepsketch.NewCoalescer(reg.Serving(e.Name), deepsketch.CoalesceOptions{}),
-					deepsketch.MaxCardinality(d)),
-				s.monitors[e.Dataset]),
-			1024).KeyFunc(reg.CacheKey(e.Name))
-	}
-	e.sketch = sk
-	e.Version = ver
-	e.Status = status
-	e.Error = errMsg
-	s.mu.Unlock()
-}
-
-func (s *server) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /", s.handleIndex)
-	mux.HandleFunc("GET /api/datasets", s.handleDatasets)
-	mux.HandleFunc("GET /api/sketches", s.handleSketchList)
-	mux.HandleFunc("POST /api/sketches", s.handleSketchCreate)
-	mux.HandleFunc("GET /api/sketches/{id}", s.handleSketchGet)
-	mux.HandleFunc("PUT /api/sketches/{id}", s.handleSketchUpload)
-	mux.HandleFunc("GET /api/sketches/{id}/download", s.handleSketchDownload)
-	mux.HandleFunc("POST /api/sketches/{id}/refresh", s.handleSketchRefresh)
-	mux.HandleFunc("POST /api/sketches/{id}/rollback", s.handleSketchRollback)
-	mux.HandleFunc("GET /api/sketches/{id}/drift", s.handleSketchDrift)
-	mux.HandleFunc("POST /api/sketches/{id}/actuals", s.handleSketchActuals)
-	mux.HandleFunc("POST /api/sketches/{id}/canary", s.handleSketchCanary)
-	mux.HandleFunc("POST /api/sketches/{id}/promote", s.handleSketchPromote)
-	mux.HandleFunc("DELETE /api/sketches/{id}/canary", s.handleSketchCanaryAbort)
-	mux.HandleFunc("POST /api/estimate", s.handleEstimate)
-	mux.HandleFunc("POST /api/template", s.handleTemplate)
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("deepsketchd: encode response: %v", err)
-	}
-}
-
-// snapshotJSON marshals v while holding the server read lock — entry fields
-// are mutex-guarded, but the lock must never be held across the network
-// write (a client that stops reading would otherwise block every other
-// request behind the next writer). Pair with writeRawJSON.
-func (s *server) snapshotJSON(v any) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return json.Marshal(v)
-}
-
-func writeRawJSON(w http.ResponseWriter, status int, blob []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(append(blob, '\n')); err != nil {
-		log.Printf("deepsketchd: write response: %v", err)
-	}
-}
-
-// writeEntry responds with an entry snapshot taken under the lock.
-func (s *server) writeEntry(w http.ResponseWriter, status int, e *sketchEntry) {
-	blob, err := s.snapshotJSON(e)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, status, blob)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func (s *server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	type colInfo struct {
-		Name string `json:"name"`
-		Type string `json:"type"`
-	}
-	type tblInfo struct {
-		Name string    `json:"name"`
-		Rows int       `json:"rows"`
-		Cols []colInfo `json:"columns"`
-	}
-	out := map[string][]tblInfo{}
-	for name, d := range s.datasets {
-		var tbls []tblInfo
-		for _, tn := range d.TableNames() {
-			t := d.Table(tn)
-			ti := tblInfo{Name: tn, Rows: t.NumRows()}
-			for _, c := range t.Cols {
-				ti.Cols = append(ti.Cols, colInfo{Name: c.Name, Type: c.Type.String()})
-			}
-			tbls = append(tbls, ti)
-		}
-		out[name] = tbls
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-type createReq struct {
-	Name         string   `json:"name"`
-	Dataset      string   `json:"dataset"`
-	Tables       []string `json:"tables"`
-	SampleSize   int      `json:"sample_size"`
-	TrainQueries int      `json:"train_queries"`
-	Epochs       int      `json:"epochs"`
-	HiddenUnits  int      `json:"hidden_units"`
-	Seed         int64    `json:"seed"`
-}
-
-func (s *server) handleSketchCreate(w http.ResponseWriter, r *http.Request) {
-	var req createReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Dataset == "" {
-		req.Dataset = "imdb"
-	}
-	d, ok := s.datasets[req.Dataset]
-	if !ok {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown dataset %q", req.Dataset))
-		return
-	}
-	entry, err := s.register(req.Name, req.Dataset)
-	if err != nil {
-		// Duplicate names conflict with the lifecycle registry's version
-		// keying: 409, not a silent second fleet member.
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.build(entry, d, req)
-	}()
-	writeJSON(w, http.StatusAccepted, entry)
-}
-
-func (s *server) register(name, dataset string) (*sketchEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if name != "" {
-		for _, e := range s.sketches {
-			if e.Name == name && e.Dataset == dataset && e.Status != "failed" {
-				return nil, fmt.Errorf("sketch %q already exists on %s (id %d); upload to PUT /api/sketches/%d to replace it", name, dataset, e.ID, e.ID)
-			}
-		}
-	}
-	id := s.nextID
-	s.nextID++
-	if name == "" {
-		name = fmt.Sprintf("%s-sketch-%d", dataset, id)
-	}
-	e := &sketchEntry{
-		ID: id, Name: name, Dataset: dataset, Status: "building",
-		Created: time.Now(), mon: deepsketch.NewMonitor(),
-	}
-	s.sketches[id] = e
-	return e, nil
-}
-
-// build runs the creation pipeline in the background.
-func (s *server) build(e *sketchEntry, d *deepsketch.DB, req createReq) {
-	mcfg := deepsketch.DefaultModelConfig()
-	if req.Epochs > 0 {
-		mcfg.Epochs = req.Epochs
-	}
-	if req.HiddenUnits > 0 {
-		mcfg.HiddenUnits = req.HiddenUnits
-	}
-	mcfg.Seed = req.Seed
-	cfg := deepsketch.Config{
-		Name: e.Name, Tables: req.Tables, SampleSize: req.SampleSize,
-		TrainQueries: req.TrainQueries, Seed: req.Seed, Model: mcfg,
-	}
-	sk, err := deepsketch.Build(d, cfg, e.mon)
-	if err != nil {
-		s.mu.Lock()
-		e.Status = "failed"
-		e.Error = err.Error()
-		s.mu.Unlock()
-		return
-	}
-	s.markReady(e, sk)
-}
-
-// startPrebuilt creates one small high-quality sketch per dataset so users
-// can query immediately ("we offer pre-built (high quality) models that can
-// be queried right away").
-func (s *server) startPrebuilt() {
-	for name, d := range s.datasets {
-		e, err := s.register("prebuilt-"+name, name)
-		if err != nil {
-			log.Printf("deepsketchd: prebuilt %s: %v", name, err)
-			continue
-		}
-		s.bg.Add(1)
-		go func(e *sketchEntry, d *deepsketch.DB, name string) {
-			defer s.bg.Done()
-			s.build(e, d, createReq{
-				Dataset: name, SampleSize: 500, TrainQueries: 3000, Epochs: 20, HiddenUnits: 32, Seed: 7,
-			})
-		}(e, d, name)
-	}
-}
-
-func (s *server) handleSketchList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	out := make([]*sketchEntry, 0, len(s.sketches))
-	for id := 1; id < s.nextID; id++ {
-		if e, ok := s.sketches[id]; ok {
-			out = append(out, e)
-		}
-	}
-	blob, err := json.Marshal(out)
-	s.mu.RUnlock()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, http.StatusOK, blob)
-}
-
-func (s *server) entryByID(r *http.Request) (*sketchEntry, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return nil, fmt.Errorf("bad sketch id")
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.sketches[id]
-	if !ok {
-		return nil, fmt.Errorf("no sketch %d", id)
-	}
-	return e, nil
-}
-
-func (s *server) handleSketchGet(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	type resp struct {
-		*sketchEntry
-		Progress trainmon.Snapshot          `json:"progress"`
-		Epochs   []trainmon.Event           `json:"epoch_events"`
-		Versions []deepsketch.SketchVersion `json:"versions,omitempty"`
-		Canary   *deepsketch.SketchCanary   `json:"canary,omitempty"`
-	}
-	var epochs []trainmon.Event
-	for _, ev := range e.mon.Events() {
-		if ev.Kind == trainmon.KindEpoch {
-			epochs = append(epochs, ev)
-		}
-	}
-	// A sketch that never reached the registry (still building, or failed)
-	// has no version history; any other error would also mean "nothing to
-	// show", so the list stays empty rather than failing the GET.
-	var versions []deepsketch.SketchVersion
-	if vs, err := s.registries[e.Dataset].Versions(e.Name); err == nil {
-		versions = vs
-	}
-	var canary *deepsketch.SketchCanary
-	if ci, ok := s.registries[e.Dataset].Canary(e.Name); ok {
-		canary = &ci
-	}
-	blob, err := s.snapshotJSON(resp{sketchEntry: e, Progress: e.mon.Snapshot(), Epochs: epochs, Versions: versions, Canary: canary})
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeRawJSON(w, http.StatusOK, blob)
-}
-
-func (s *server) handleSketchDownload(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	s.mu.RLock()
-	sk := e.sketch
-	s.mu.RUnlock()
-	if sk == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d not ready", e.ID))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", e.Name+".dsk"))
-	if err := sk.Save(w); err != nil {
-		log.Printf("deepsketchd: download: %v", err)
-	}
-}
-
-// handleSketchUpload is upload-and-swap: the request body is a serialized
-// sketch file (as produced by download or `deepsketch build/refresh`),
-// which atomically replaces the entry's serving sketch as a new version.
-// The uploaded sketch must belong to the entry's dataset; its name is
-// overridden to the entry's name, since the version chain is keyed by it.
-func (s *server) handleSketchUpload(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	// Cap the upload: sketches are a few MiB; a stream claiming more is
-	// not a sketch file.
-	sk, err := deepsketch.Load(http.MaxBytesReader(w, r.Body, 1<<28))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("not a sketch file: %w", err))
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	s.mu.RLock()
-	status, dataset := e.Status, e.Dataset
-	s.mu.RUnlock()
-	if status != "ready" {
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	if sk.DBName != dataset {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("uploaded sketch is for dataset %q, entry %d serves %q", sk.DBName, e.ID, dataset))
-		return
-	}
-	sk.Cfg.Name = e.Name
-	ver, err := s.registries[dataset].Swap(e.Name, sk)
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	s.installVersion(e, sk, ver, "ready", "")
-	s.persistVersion(e, sk, ver)
-	s.writeEntry(w, http.StatusOK, e)
-}
-
-type refreshReq struct {
-	// Queries sizes the generated drift-delta workload (default 1000).
-	Queries int `json:"queries"`
-	// Seed drives delta workload generation; vary it across refreshes so
-	// each one sees fresh queries (default: current version number).
-	Seed int64 `json:"seed"`
-	// Epochs caps the fine-tune budget (default: the sketch's build epochs).
-	Epochs int `json:"epochs"`
-	// StopAtValQ stops early at this validation mean q-error (0 disables).
-	StopAtValQ float64 `json:"stop_at_val_q"`
-	// Workers bounds labeling and training parallelism (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
-}
-
-// handleSketchRefresh warm-start retrains the serving sketch on a freshly
-// generated delta workload in the background and swaps the result in as a
-// new version. The current version keeps serving until the swap; a failed
-// refresh leaves it serving and records the error on the entry.
-func (s *server) handleSketchRefresh(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	var req refreshReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	// Default seed: derived from the monotone history length, not the live
-	// version number — after a rollback the live version repeats, and the
-	// seed must not, or the refresh would regenerate the exact delta
-	// workload that produced the rolled-back model. adminMu is held, so the
-	// history cannot change underneath.
-	histLen := 0
-	if vs, err := s.registries[e.Dataset].Versions(e.Name); err == nil {
-		histLen = len(vs)
-	}
-	s.mu.Lock()
-	if e.Status != "ready" {
-		status := e.Status
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	e.Status = "refreshing"
-	e.Error = ""
-	if req.Queries <= 0 {
-		req.Queries = 1000
-	}
-	if req.Seed == 0 {
-		req.Seed = int64(histLen + 1)
-	}
-	sk := e.sketch
-	s.mu.Unlock()
-
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.refresh(e, sk, req, 0)
-	}()
-	s.writeEntry(w, http.StatusAccepted, e)
-}
-
-// refresh runs the delta-workload fine-tune in the background and lands
-// the result as a direct swap (fraction 0) or as a canary at the given
-// traffic fraction. Entry status is "refreshing" for the whole run, which
-// 409s any concurrent upload/rollback/refresh; completion takes adminMu so
-// the install+persist pair cannot interleave with an admin operation
-// racing the final status flip.
-func (s *server) refresh(e *sketchEntry, sk *deepsketch.Sketch, req refreshReq, fraction float64) {
-	fail := func(err error) {
-		// The old version never stopped serving; keep it and record why
-		// the refresh did not land.
-		e.adminMu.Lock()
-		defer e.adminMu.Unlock()
-		s.mu.Lock()
-		e.Status = "ready"
-		e.Error = "refresh failed: " + err.Error()
-		s.mu.Unlock()
-	}
-	d := s.datasets[e.Dataset]
-	qs, err := deepsketch.GenerateWorkload(d, deepsketch.GenConfig{
-		Seed: req.Seed, Count: req.Queries, Tables: sk.Cfg.Tables,
-		MaxJoins: sk.Cfg.MaxJoins, MaxPreds: sk.Cfg.MaxPreds, Dedup: true,
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-	labeled, err := deepsketch.LabelWorkload(d, qs, req.Workers)
-	if err != nil {
-		fail(err)
-		return
-	}
-	ver, ns, err := s.registries[e.Dataset].Refresh(context.Background(), deepsketch.RegistryRefreshOptions{
-		Name: e.Name, Workload: labeled,
-		Epochs: req.Epochs, StopAtValQ: req.StopAtValQ, Workers: req.Workers,
-		Monitor: e.mon, Canary: fraction,
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-	s.monitors[e.Dataset].MarkRefreshed(e.Name)
-	e.adminMu.Lock()
-	if fraction > 0 {
-		// The canary is in the registry history but not live: the entry
-		// keeps reporting the live version; only the status changes.
-		s.mu.Lock()
-		e.Status = "canarying"
-		e.Error = ""
-		s.mu.Unlock()
-		s.persistVersion(e, ns, ver)
-		log.Printf("deepsketchd: refreshed sketch %q into canary v%d at %g%% (%d delta queries)",
-			e.Name, ver, fraction*100, len(labeled))
-	} else {
-		s.installVersion(e, ns, ver, "ready", "")
-		s.persistVersion(e, ns, ver)
-		log.Printf("deepsketchd: refreshed sketch %q to version %d (%d delta queries)", e.Name, ver, len(labeled))
-	}
-	e.adminMu.Unlock()
-}
-
-// canaryReq parameterizes POST /api/sketches/{id}/canary: the refresh
-// fields plus the traffic fraction to canary at. On a sketch with an
-// active canary, only Fraction is honoured (the split is re-fractioned).
-type canaryReq struct {
-	refreshReq
-	// Fraction is the share of traffic the canary answers (default 0.1).
-	Fraction float64 `json:"fraction"`
-}
-
-// handleSketchCanary refreshes the sketch into a canary at the requested
-// traffic fraction — or, when a canary is already active, widens or
-// narrows its split.
-func (s *server) handleSketchCanary(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	var req canaryReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Fraction == 0 {
-		req.Fraction = 0.1
-	}
-	if req.Fraction < 0 || req.Fraction > 1 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("fraction %v outside (0, 1]", req.Fraction))
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	reg := s.registries[e.Dataset]
-	if _, ok := reg.Canary(e.Name); ok {
-		// Active canary: adjust the traffic split.
-		if err := reg.SetCanaryFraction(e.Name, req.Fraction); err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		s.persistState(e)
-		s.writeEntry(w, http.StatusOK, e)
-		return
-	}
-	histLen := 0
-	if vs, err := reg.Versions(e.Name); err == nil {
-		histLen = len(vs)
-	}
-	s.mu.Lock()
-	if e.Status != "ready" {
-		status := e.Status
-		s.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	e.Status = "refreshing"
-	e.Error = ""
-	if req.Queries <= 0 {
-		req.Queries = 1000
-	}
-	if req.Seed == 0 {
-		req.Seed = int64(histLen + 1)
-	}
-	sk := e.sketch
-	s.mu.Unlock()
-
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		s.refresh(e, sk, req.refreshReq, req.Fraction)
-	}()
-	s.writeEntry(w, http.StatusAccepted, e)
-}
-
-// handleSketchPromote makes the active canary the live version for all
-// traffic.
-func (s *server) handleSketchPromote(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	reg := s.registries[e.Dataset]
-	ver, err := reg.PromoteCanary(e.Name)
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	sk, err := reg.Sketch(e.Name, ver)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.installVersion(e, sk, ver, "ready", "")
-	s.persistState(e)
-	s.applyRetention(e.Dataset, e)
-	log.Printf("deepsketchd: canary v%d of %q promoted by operator", ver, e.Name)
-	s.writeEntry(w, http.StatusOK, e)
-}
-
-// handleSketchCanaryAbort withdraws the active canary; the live version
-// resumes answering all traffic. The aborted version stays in the history.
-func (s *server) handleSketchCanaryAbort(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	reg := s.registries[e.Dataset]
-	ci, ok := reg.Canary(e.Name)
-	if !ok {
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d has no active canary", e.ID))
-		return
-	}
-	if err := reg.AbortCanary(e.Name); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	live, lv, err := reg.Live(e.Name)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.installVersion(e, live, lv, "ready", "")
-	s.persistState(e)
-	log.Printf("deepsketchd: canary v%d of %q aborted by operator", ci.Version, e.Name)
-	s.writeEntry(w, http.StatusOK, e)
-}
-
-// handleSketchDrift reports the sketch's live-quality picture: the drift
-// monitor's windowed q-error per version, the controller's cycle state,
-// and the active canary, if any.
-func (s *server) handleSketchDrift(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	resp := map[string]any{
-		"monitor": s.monitors[e.Dataset].Status(e.Name),
-		"cycle":   s.controllers[e.Dataset].Cycle(e.Name),
-	}
-	if ci, ok := s.registries[e.Dataset].Canary(e.Name); ok {
-		resp["canary"] = ci
-	}
-	if l := s.wals[e.Dataset]; l != nil {
-		resp["wal"] = l.Stats()
-		resp["wal_actuals"] = l.ActualCount(e.Name)
-		resp["wal_workloads"] = s.walWorkloads.Load()
-	}
-	// The rail's last judgment travels inside "cycle" (CycleStatus.Pinned);
-	// these describe the rail configuration itself.
-	if pb := s.pinned[e.Dataset]; pb != nil {
-		resp["pinned_size"] = pb.Len()
-		resp["pinned_max_regress"] = s.pinnedMaxRegress
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSketchRollback reverts the entry to the version before the live
-// one; the rolled-back-to version serves immediately.
-func (s *server) handleSketchRollback(w http.ResponseWriter, r *http.Request) {
-	e, err := s.entryByID(r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	e.adminMu.Lock()
-	defer e.adminMu.Unlock()
-	s.mu.RLock()
-	status := e.Status
-	s.mu.RUnlock()
-	if status != "ready" {
-		writeErr(w, http.StatusConflict, fmt.Errorf("sketch %d is %s", e.ID, status))
-		return
-	}
-	ver, sk, err := s.registries[e.Dataset].Rollback(e.Name)
-	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	s.installVersion(e, sk, ver, "ready", "")
-	s.persistState(e)
-	s.writeEntry(w, http.StatusOK, e)
-}
-
-// readySketch snapshots a ready entry under the lock: installVersion
-// rewrites the entry's sketch on every refresh, rollback or upload, so a
-// handler uses the returned values, never the entry's fields.
-func (s *server) readySketch(id int) (dataset string, sk *deepsketch.Sketch, serving deepsketch.Estimator, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.sketches[id]
-	if !ok {
-		return "", nil, nil, fmt.Errorf("no sketch %d", id)
-	}
-	if e.sketch == nil {
-		return "", nil, nil, fmt.Errorf("sketch %d is %s", id, e.Status)
-	}
-	return e.Dataset, e.sketch, e.serving, nil
-}
-
-type estimateReq struct {
-	// SketchID selects a sketch explicitly; 0 routes automatically through
-	// the dataset's sketch router, falling back to the PostgreSQL-style
-	// estimator when no ready sketch covers the query's tables.
-	SketchID int    `json:"sketch_id"`
-	Dataset  string `json:"dataset,omitempty"`
-	SQL      string `json:"sql"`
-	// Truth adds the demo chart's overlays: the true cardinality, the
-	// HyPer and PostgreSQL estimates and the q-errors against the truth.
-	Truth bool `json:"truth"`
-}
-
-// handleEstimate serves one ad-hoc query through the serving stack. Only a
-// request with "truth" pays for the demo's overlays, which run the exact
-// executor. The client disconnecting cancels the work via the request
-// context.
-func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req estimateReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx := r.Context()
-	dataset := req.Dataset
-	var serving deepsketch.Estimator
-	if req.SketchID == 0 {
-		if dataset == "" {
-			dataset = "imdb"
-		}
-		est, ok := s.auto[dataset]
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown dataset %q", dataset))
-			return
-		}
-		serving = est
-	} else {
-		var err error
-		if dataset, _, serving, err = s.readySketch(req.SketchID); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-	}
-	d := s.datasets[dataset]
-	q, err := deepsketch.ParseSQL(d, req.SQL)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	est, err := serving.Estimate(ctx, q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	resp := map[string]any{
-		"sql":         q.SQL(d),
-		"deep_sketch": est.Cardinality,
-		"source":      est.Source,
-		"latency_ms":  float64(est.Latency.Microseconds()) / 1000.0,
-		"cache_hit":   est.CacheHit,
-	}
-	if req.Truth {
-		truth, hyper, pg, err := s.baseline[dataset].overlay(ctx, q)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		resp["true"] = truth
-		resp["hyper"] = hyper
-		resp["postgresql"] = pg
-		resp["q_errors"] = map[string]float64{
-			"deep_sketch": deepsketch.QError(est.Cardinality, float64(truth)),
-			"hyper":       deepsketch.QError(hyper, float64(truth)),
-			"postgresql":  deepsketch.QError(pg, float64(truth)),
-		}
-	}
-	// Tag which version of the answering sketch served the estimate (absent
-	// when a baseline fallback answered). The version is stamped on the
-	// estimate by the registry's routing layer itself — exact even when a
-	// swap, canary split or rollback races the request.
-	if est.Version > 0 {
-		resp["version"] = est.Version
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type templateReq struct {
-	SketchID int    `json:"sketch_id"`
-	SQL      string `json:"sql"`
-	Group    string `json:"group"`   // distinct | buckets
-	Buckets  int    `json:"buckets"` // for group=buckets
-	Truth    bool   `json:"truth"`   // include the overlays
-}
-
-// handleTemplate serves the demo's placeholder queries: one series point per
-// template instance, with optional overlays.
-func (s *server) handleTemplate(w http.ResponseWriter, r *http.Request) {
-	var req templateReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	dataset, sk, _, err := s.readySketch(req.SketchID)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	g := deepsketch.GroupDistinct
-	if req.Group == "buckets" {
-		g = deepsketch.GroupBuckets
-		if req.Buckets <= 0 {
-			req.Buckets = 20
-		}
-	}
-	res, err := sk.EstimateTemplateSQL(r.Context(), req.SQL, g, req.Buckets)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	bl := s.baseline[dataset]
-	type point struct {
-		Label      string  `json:"label"`
-		Estimate   float64 `json:"deep_sketch"`
-		Hyper      float64 `json:"hyper,omitempty"`
-		PostgreSQL float64 `json:"postgresql,omitempty"`
-		True       *int64  `json:"true,omitempty"`
-	}
-	points := make([]point, 0, len(res))
-	for _, inst := range res {
-		p := point{Label: inst.Label, Estimate: inst.Estimate}
-		if req.Truth {
-			tc, he, pe, err := bl.overlay(r.Context(), inst.Query)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-			p.True, p.Hyper, p.PostgreSQL = &tc, he, pe
-		}
-		points = append(points, p)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"points": points})
-}
-
-func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, indexHTML)
 }

@@ -13,7 +13,7 @@ import (
 
 func testServer(t *testing.T) *server {
 	t.Helper()
-	return newServer(800, 400, 3)
+	return newServer(serverOptions{titles: 800, orders: 400, seed: 3, driftTruth: true})
 }
 
 func post(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {

@@ -32,11 +32,11 @@ func (c *countingEstimator) EstimateBatch(ctx context.Context, qs []deepsketch.Q
 // countOverlays swaps the imdb overlays for counting wrappers and returns
 // them as truth, hyper, postgresql.
 func countOverlays(s *server) (truth, hyper, pg *countingEstimator) {
-	bl := s.baseline["imdb"]
+	bl := s.datasets["imdb"].baseline
 	truth = &countingEstimator{Estimator: bl.truth}
 	hyper = &countingEstimator{Estimator: bl.hyper}
 	pg = &countingEstimator{Estimator: bl.pg}
-	s.baseline["imdb"] = baseline{truth: truth, hyper: hyper, pg: pg}
+	s.datasets["imdb"].baseline = baseline{truth: truth, hyper: hyper, pg: pg}
 	return truth, hyper, pg
 }
 

@@ -20,7 +20,7 @@ import (
 // refresh candidate trained on poisoned logged actuals.
 
 func pinnedServer(pinnedDir string, maxRegress float64, driftCfg deepsketch.DriftConfig, ctrlCfg deepsketch.DriftControllerConfig, walDir string) *server {
-	return newServerOpts(serverOptions{
+	return newServer(serverOptions{
 		titles: 600, orders: 300, seed: 2,
 		driftCfg: driftCfg, ctrlCfg: ctrlCfg,
 		walDir: walDir, driftTruth: false,
@@ -36,7 +36,7 @@ func TestPinnedBenchmarkBootPersistence(t *testing.T) {
 	srv := pinnedServer(dir, 1.25, deepsketch.DriftConfig{}, deepsketch.DriftControllerConfig{}, "")
 	blobs := map[string][]byte{}
 	for _, dataset := range []string{"imdb", "tpch"} {
-		pb := srv.pinned[dataset]
+		pb := srv.datasets[dataset].pinned
 		if pb == nil || pb.Len() == 0 {
 			t.Fatalf("no pinned benchmark for %s after boot", dataset)
 		}
@@ -55,7 +55,7 @@ func TestPinnedBenchmarkBootPersistence(t *testing.T) {
 	// disk, same benchmark in memory — the judgment set is frozen.
 	srv2 := pinnedServer(dir, 1.25, deepsketch.DriftConfig{}, deepsketch.DriftControllerConfig{}, "")
 	for _, dataset := range []string{"imdb", "tpch"} {
-		if got, want := srv2.pinned[dataset].Len(), srv.pinned[dataset].Len(); got != want {
+		if got, want := srv2.datasets[dataset].pinned.Len(), srv.datasets[dataset].pinned.Len(); got != want {
 			t.Errorf("%s benchmark reloaded with %d queries, want %d", dataset, got, want)
 		}
 		blob, err := os.ReadFile(filepath.Join(dir, dataset+".workload"))
@@ -81,8 +81,8 @@ func TestPinnedBenchmarkBootPersistence(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.PinnedSize != srv.pinned["imdb"].Len() || resp.PinnedMaxRegress != 1.25 {
-		t.Errorf("drift endpoint rail fields = %+v, want size %d tolerance 1.25", resp, srv.pinned["imdb"].Len())
+	if resp.PinnedSize != srv.datasets["imdb"].pinned.Len() || resp.PinnedMaxRegress != 1.25 {
+		t.Errorf("drift endpoint rail fields = %+v, want size %d tolerance 1.25", resp, srv.datasets["imdb"].pinned.Len())
 	}
 }
 
@@ -107,7 +107,7 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 	h := srv.routes()
 	id := buildReadySketch(t, h, "poison target")
 	ctx := context.Background()
-	d := srv.datasets["imdb"]
+	d := srv.datasets["imdb"].db
 
 	sqls := make([]string, 0, 40)
 	for i := 0; i < 40; i++ {
@@ -118,7 +118,7 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 			t.Fatalf("estimate: %d %s", rec.Code, rec.Body)
 		}
 	}
-	srv.monitors["imdb"].Drain(ctx)
+	srv.datasets["imdb"].drift.Drain(ctx)
 	for _, sql := range sqls {
 		q, err := deepsketch.ParseSQL(d, sql)
 		if err != nil {
@@ -139,7 +139,7 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 	// rejection, never a canary.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		cy := srv.controllers["imdb"].Cycle("poison target")
+		cy := srv.datasets["imdb"].ctrl.Cycle("poison target")
 		if cy.Pinned != nil && cy.State == "idle" {
 			if cy.Pinned.Pass {
 				t.Fatalf("rail passed a candidate trained on 1000×-poisoned labels: %+v", cy.Pinned)
@@ -149,11 +149,11 @@ func TestPinnedRailRejectsPoisonedRefresh(t *testing.T) {
 		if cy.State == "idle" && cy.LastError != "" {
 			t.Fatalf("drift cycle failed instead of judging: %s", cy.LastError)
 		}
-		if _, ok := srv.registries["imdb"].Canary("poison target"); ok {
+		if _, ok := srv.datasets["imdb"].reg.Canary("poison target"); ok {
 			t.Fatal("a canary started for the poisoned candidate — the rail must judge first")
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rail never judged; cycle=%+v monitor=%+v", cy, srv.monitors["imdb"].Status("poison target"))
+			t.Fatalf("rail never judged; cycle=%+v monitor=%+v", cy, srv.datasets["imdb"].drift.Status("poison target"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

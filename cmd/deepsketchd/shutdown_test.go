@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -16,7 +17,7 @@ import (
 // store it leaves behind must restore cleanly on a fresh server.
 func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	dir := t.TempDir()
-	srv := newServer(600, 300, 2)
+	srv := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv.store = dir
 	h := srv.routes()
 	id := buildReadySketch(t, h, "joined")
@@ -63,7 +64,7 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 
 	// The store the shutdown left behind is complete and consistent: a
 	// fresh daemon restores the sketch and its refreshed version.
-	srv2 := newServer(600, 300, 2)
+	srv2 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv2.store = dir
 	n, err := srv2.loadStore()
 	if err != nil {
@@ -78,5 +79,31 @@ func TestCloseJoinsInFlightRefresh(t *testing.T) {
 	}
 	if st.Status != "ready" || st.Version != 2 {
 		t.Fatalf("restored entry status %q version %d, want ready v2", st.Status, st.Version)
+	}
+}
+
+// TestCloseStopsCoalescers: every serving stack the server builds — the
+// per-dataset auto stacks and one per installed sketch — runs a coalescer
+// flush goroutine. Close must stop them all, so a server that served a
+// sketch leaves no goroutine behind.
+func TestCloseStopsCoalescers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
+	h := srv.routes()
+	id := buildReadySketch(t, h, "closed")
+	for _, req := range []estimateReq{{SketchID: id, SQL: "SELECT COUNT(*) FROM title"}, {SQL: "SELECT COUNT(*) FROM title"}} {
+		if rec := post(t, h, "/api/estimate", req); rec.Code != http.StatusOK {
+			t.Fatalf("estimate %+v: %d %s", req, rec.Code, rec.Body)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the server", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -66,13 +66,12 @@ func (s *server) persistState(e *sketchEntry) {
 	if s.store == "" {
 		return
 	}
-	reg := s.registries[e.Dataset]
-	live, ok := reg.LiveVersion(e.Name)
+	live, ok := e.ds.reg.LiveVersion(e.Name)
 	if !ok {
 		return
 	}
 	st := storeState{Name: e.Name, Dataset: e.Dataset, Live: live}
-	if ci, ok := reg.Canary(e.Name); ok {
+	if ci, ok := e.ds.reg.Canary(e.Name); ok {
 		st.Canary = &storeCanary{Version: ci.Version, Fraction: ci.Fraction}
 	}
 	dir := filepath.Join(s.store, sanitizeName(e.Name))
@@ -127,7 +126,8 @@ func (s *server) loadVersionedDir(dir string) error {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return fmt.Errorf("state.json: %w", err)
 	}
-	if _, ok := s.datasets[st.Dataset]; !ok {
+	ds, ok := s.datasets[st.Dataset]
+	if !ok {
 		return fmt.Errorf("unknown dataset %q", st.Dataset)
 	}
 	// A version file is written for every publish/refresh/canary, but
@@ -135,17 +135,19 @@ func (s *server) loadVersionedDir(dir string) error {
 	// v*.dsk files survive and restore the history with nil gaps for the
 	// pruned versions. Version numbers are preserved — they key estimate
 	// caches and WAL records — so a gap must not renumber later versions.
-	found := map[int]*deepsketch.Sketch{}
-	maxVer := 0
-	files, err := filepath.Glob(filepath.Join(dir, "v*.dsk"))
+	files, err := versionFiles(dir)
 	if err != nil {
 		return err
 	}
-	for _, path := range files {
-		var ver int
-		if _, err := fmt.Sscanf(filepath.Base(path), "v%d.dsk", &ver); err != nil || ver < 1 {
-			continue
-		}
+	maxVer := 0
+	for ver := range files {
+		maxVer = max(maxVer, ver)
+	}
+	if maxVer == 0 {
+		return fmt.Errorf("no version files")
+	}
+	versions := make([]*deepsketch.Sketch, maxVer)
+	for ver, path := range files {
 		sk, err := deepsketch.LoadFile(path)
 		if err != nil {
 			return fmt.Errorf("v%d.dsk: %w", ver, err)
@@ -153,16 +155,9 @@ func (s *server) loadVersionedDir(dir string) error {
 		if sk.Name() != st.Name {
 			return fmt.Errorf("v%d.dsk is named %q, state says %q", ver, sk.Name(), st.Name)
 		}
-		found[ver] = sk
-		if ver > maxVer {
-			maxVer = ver
+		if sk.DBName != st.Dataset {
+			return fmt.Errorf("v%d.dsk is for dataset %q, state says %q", ver, sk.DBName, st.Dataset)
 		}
-	}
-	if maxVer == 0 {
-		return fmt.Errorf("no version files")
-	}
-	versions := make([]*deepsketch.Sketch, maxVer)
-	for ver, sk := range found {
 		versions[ver-1] = sk
 	}
 	if st.Live < 1 || st.Live > maxVer {
@@ -171,13 +166,12 @@ func (s *server) loadVersionedDir(dir string) error {
 	if versions[st.Live-1] == nil {
 		return fmt.Errorf("live version file v%d.dsk missing", st.Live)
 	}
-	reg := s.registries[st.Dataset]
-	if err := reg.Restore(st.Name, versions, st.Live); err != nil {
+	if err := ds.reg.Restore(st.Name, versions, st.Live); err != nil {
 		return err
 	}
 	status := "ready"
 	if c := st.Canary; c != nil {
-		if err := reg.ResumeCanary(st.Name, c.Version, c.Fraction); err != nil {
+		if err := ds.reg.ResumeCanary(st.Name, c.Version, c.Fraction); err != nil {
 			log.Printf("deepsketchd: %s: canary not resumed: %v", st.Name, err)
 		} else {
 			status = "canarying"
@@ -185,11 +179,11 @@ func (s *server) loadVersionedDir(dir string) error {
 			// comparative q-error gate finishes the rollout (when the
 			// automatic loop is running; otherwise the operator promotes or
 			// aborts via the API, as before the restart).
-			s.controllers[st.Dataset].AdoptCanary(st.Name)
+			ds.ctrl.AdoptCanary(st.Name)
 			log.Printf("deepsketchd: resumed canary v%d of %q at %g%%", c.Version, st.Name, c.Fraction*100)
 		}
 	}
-	e, err := s.register(st.Name, st.Dataset)
+	e, err := s.register(st.Name, ds)
 	if err != nil {
 		return err
 	}
@@ -210,37 +204,54 @@ func (s *server) pruneVersionFiles(e *sketchEntry) {
 	if s.store == "" {
 		return
 	}
-	live, ok := s.registries[e.Dataset].LiveVersion(e.Name)
+	live, ok := e.ds.reg.LiveVersion(e.Name)
 	if !ok {
 		return
 	}
 	dir := filepath.Join(s.store, sanitizeName(e.Name))
-	files, err := filepath.Glob(filepath.Join(dir, "v*.dsk"))
+	files, err := versionFiles(dir)
 	if err != nil {
 		return
 	}
 	var vers []int
-	for _, path := range files {
-		var ver int
-		if _, err := fmt.Sscanf(filepath.Base(path), "v%d.dsk", &ver); err == nil && ver >= 1 && ver != live {
+	for ver := range files {
+		if ver != live {
 			vers = append(vers, ver)
 		}
 	}
-	if len(vers) <= s.retainVersions {
+	if len(vers) <= s.opts.retainVersions {
 		return
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(vers)))
-	for _, ver := range vers[s.retainVersions:] {
-		path := filepath.Join(dir, fmt.Sprintf("v%d.dsk", ver))
+	for _, ver := range vers[s.opts.retainVersions:] {
+		path := files[ver]
 		if err := os.Remove(path); err != nil {
 			log.Printf("deepsketchd: prune %s: %v", path, err)
 			continue
 		}
-		log.Printf("deepsketchd: pruned sketch %q v%d (retain-versions %d)", e.Name, ver, s.retainVersions)
+		log.Printf("deepsketchd: pruned sketch %q v%d (retain-versions %d)", e.Name, ver, s.opts.retainVersions)
 	}
 }
 
-// sanitizeName makes a sketch name safe as a file name.
+// versionFiles maps each version number to its v<N>.dsk file in a sketch's
+// store directory.
+func versionFiles(dir string) (map[int]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "v*.dsk"))
+	if err != nil {
+		return nil, err
+	}
+	files := make(map[int]string, len(paths))
+	for _, path := range paths {
+		var ver int
+		if _, err := fmt.Sscanf(filepath.Base(path), "v%d.dsk", &ver); err == nil && ver >= 1 {
+			files[ver] = path
+		}
+	}
+	return files, nil
+}
+
+// sanitizeName makes a sketch name safe as a file name; every sketch's
+// store directory is named by it (see register).
 func sanitizeName(name string) string {
 	var b strings.Builder
 	for _, r := range name {

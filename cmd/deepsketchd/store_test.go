@@ -16,7 +16,7 @@ func TestStorePersistAndRestore(t *testing.T) {
 	dir := t.TempDir()
 
 	// First server: build a sketch; it should land in the store.
-	srv1 := newServer(600, 300, 2)
+	srv1 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv1.store = dir
 	h1 := srv1.routes()
 	rec := post(t, h1, "/api/sketches", createReq{
@@ -53,7 +53,7 @@ func TestStorePersistAndRestore(t *testing.T) {
 	}
 
 	// Second server: must restore the sketch from disk and serve estimates.
-	srv2 := newServer(600, 300, 2)
+	srv2 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv2.store = dir
 	n, err := srv2.loadStore()
 	if err != nil {
@@ -79,7 +79,7 @@ func TestStorePersistAndRestore(t *testing.T) {
 func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	dir := t.TempDir()
 
-	srv1 := newServer(600, 300, 2)
+	srv1 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv1.store = dir
 	h1 := srv1.routes()
 	rec := post(t, h1, "/api/sketches", createReq{
@@ -99,7 +99,7 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	awaitStatus(t, h1, 1, "canarying")
 
 	// "Restart": a fresh server over the same store directory.
-	srv2 := newServer(600, 300, 2)
+	srv2 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv2.store = dir
 	n, err := srv2.loadStore()
 	if err != nil || n != 1 {
@@ -113,12 +113,12 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	if canary == nil || canary.Version != 2 || canary.BaseVersion != 1 || canary.Fraction != 0.25 {
 		t.Fatalf("restored canary: %+v, want v2 at 25%% over v1", canary)
 	}
-	if vs, err := srv2.registries["imdb"].Versions("mid canary"); err != nil || len(vs) != 2 || !vs[0].Live || !vs[1].Canary {
+	if vs, err := srv2.datasets["imdb"].reg.Versions("mid canary"); err != nil || len(vs) != 2 || !vs[0].Live || !vs[1].Canary {
 		t.Fatalf("restored history: %+v, %v", vs, err)
 	}
 	// The drift controller adopted the resumed canary: were the automatic
 	// loop running, its gate would finish the rollout.
-	if cy := srv2.controllers["imdb"].Cycle("mid canary"); cy.State != "canarying" {
+	if cy := srv2.datasets["imdb"].ctrl.Cycle("mid canary"); cy.State != "canarying" {
 		t.Fatalf("controller did not adopt the resumed canary: %+v", cy)
 	}
 
@@ -138,7 +138,7 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 	}
 
 	// Third start: the promoted state persisted — live v2, no canary.
-	srv3 := newServer(600, 300, 2)
+	srv3 := newServer(serverOptions{titles: 600, orders: 300, seed: 2, driftTruth: true})
 	srv3.store = dir
 	if n, err := srv3.loadStore(); err != nil || n != 1 {
 		t.Fatalf("second restore: n=%d err=%v", n, err)
@@ -151,7 +151,7 @@ func TestStoreRestartMidCanaryResumes(t *testing.T) {
 }
 
 func TestLoadStoreMissingDir(t *testing.T) {
-	srv := newServer(400, 200, 1)
+	srv := newServer(serverOptions{titles: 400, orders: 200, seed: 1, driftTruth: true})
 	srv.store = t.TempDir() + "/does-not-exist"
 	n, err := srv.loadStore()
 	if err != nil || n != 0 {
@@ -208,7 +208,7 @@ func TestPersistStateCrashConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := newServer(400, 200, 1)
+	srv := newServer(serverOptions{titles: 400, orders: 200, seed: 1, driftTruth: true})
 	srv.store = dir
 	n, err := srv.loadStore()
 	if err != nil || n != 1 {
@@ -240,5 +240,56 @@ func TestPersistStateCrashConsistent(t *testing.T) {
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Errorf("state.json.tmp still present after persist (err=%v); atomic write must consume it", err)
+	}
+}
+
+// TestStoreDirectoryOwnedByOneSketch: a sketch's store directory is named
+// after its sanitized name alone, so two live entries whose names sanitize
+// alike — the same name on both datasets, or "a.b" and "a_b" — would
+// overwrite each other's version files and state.json, and a restart would
+// silently restore only one of them. Creating the second is a 409, with or
+// without a store, and a version file for another dataset than state.json
+// names is refused on restore.
+func TestStoreDirectoryOwnedByOneSketch(t *testing.T) {
+	for _, store := range []string{"", t.TempDir()} {
+		srv := newServer(serverOptions{titles: 400, orders: 200, seed: 1, driftTruth: true})
+		srv.store = store
+		h := srv.routes()
+		for _, owner := range []string{"same", "a.b"} {
+			if _, err := srv.register(owner, srv.datasets["imdb"]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct{ name, dataset string }{{"same", "tpch"}, {"a_b", "imdb"}, {"a_b", "tpch"}} {
+			rec := post(t, h, "/api/sketches", createReq{Name: c.name, Dataset: c.dataset})
+			if rec.Code != http.StatusConflict {
+				t.Errorf("store %q: create %q on %s = %d, want 409 (%s)", store, c.name, c.dataset, rec.Code, rec.Body)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	db := deepsketch.NewIMDb(deepsketch.IMDbConfig{Seed: 7, Titles: 400, Keywords: 20, Companies: 10, Persons: 60})
+	sk, err := deepsketch.Build(db, deepsketch.Config{
+		Name: "misfiled", SampleSize: 16, TrainQueries: 60, MaxJoins: 1, MaxPreds: 1, Seed: 3,
+		Model: deepsketch.ModelConfig{HiddenUnits: 8, Epochs: 1, BatchSize: 16, Seed: 3},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skDir := filepath.Join(dir, "misfiled")
+	if err := os.MkdirAll(skDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := deepsketch.SaveFile(sk, filepath.Join(skDir, "v1.dsk")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(skDir, "state.json"), []byte(`{"name":"misfiled","dataset":"tpch","live":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(serverOptions{titles: 400, orders: 200, seed: 1, driftTruth: true})
+	srv.store = dir
+	if n, err := srv.loadStore(); err != nil || n != 0 {
+		t.Fatalf("loadStore of an imdb version file under a tpch state.json: n=%d err=%v, want 0 restored", n, err)
 	}
 }

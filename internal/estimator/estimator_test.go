@@ -337,3 +337,27 @@ func TestCorrelationBlindness(t *testing.T) {
 		t.Logf("note: postgres q-error only %v on correlated query (est %v true %d)", pgQ, pgEst, truth)
 	}
 }
+
+// TestRangeSelectivityRepeatable: the range selectivities sum MCV
+// frequencies; floating-point addition is not associative, so the sum must
+// run in one fixed order for repeated calls to agree to the last bit.
+func TestRangeSelectivityRepeatable(t *testing.T) {
+	var vals []int64
+	for v := int64(0); v < 300; v++ {
+		for n := int64(0); n < 1+(v*7919)%13; n++ {
+			vals = append(vals, v)
+		}
+	}
+	st := BuildColStats(db.NewIntColumn("r", vals), 100, 50)
+	for _, v := range []int64{50, 150, 250} {
+		lt, gt := st.LtSelectivity(v), st.GtSelectivity(v)
+		for i := 0; i < 100; i++ {
+			if got := st.LtSelectivity(v); math.Float64bits(got) != math.Float64bits(lt) {
+				t.Fatalf("LtSelectivity(%d) = %v, first call %v", v, got, lt)
+			}
+			if got := st.GtSelectivity(v); math.Float64bits(got) != math.Float64bits(gt) {
+				t.Fatalf("GtSelectivity(%d) = %v, first call %v", v, got, gt)
+			}
+		}
+	}
+}

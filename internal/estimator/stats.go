@@ -16,6 +16,10 @@ type ColStats struct {
 	// rows); MCVFrac is their combined fraction.
 	MCVs    map[int64]float64
 	MCVFrac float64
+	// mcvOrder lists the MCV values in ascending order: the range
+	// selectivities sum MCV frequencies in this one order, so repeated
+	// calls agree to the last bit (map iteration order does not).
+	mcvOrder []int64
 	// Bounds are equi-depth histogram bucket boundaries over non-MCV values
 	// (len = buckets+1); nil when every value is an MCV.
 	Bounds []int64
@@ -59,7 +63,9 @@ func BuildColStats(c *db.Column, mcvK, buckets int) ColStats {
 		st.MCVs[e.v] = f
 		st.MCVFrac += f
 		isMCV[e.v] = true
+		st.mcvOrder = append(st.mcvOrder, e.v)
 	}
+	sort.Slice(st.mcvOrder, func(i, j int) bool { return st.mcvOrder[i] < st.mcvOrder[j] })
 
 	// Equi-depth histogram over the non-MCV values.
 	rest := make([]int64, 0, st.Rows)
@@ -108,10 +114,11 @@ func (st ColStats) LtSelectivity(v int64) float64 {
 		return 0
 	}
 	var sel float64
-	for mv, f := range st.MCVs {
-		if mv < v {
-			sel += f
+	for _, mv := range st.mcvOrder {
+		if mv >= v {
+			break
 		}
+		sel += st.MCVs[mv]
 	}
 	sel += (1 - st.MCVFrac) * st.histFracBelow(v)
 	return clampSel(sel)
@@ -123,9 +130,9 @@ func (st ColStats) GtSelectivity(v int64) float64 {
 		return 0
 	}
 	var sel float64
-	for mv, f := range st.MCVs {
+	for _, mv := range st.mcvOrder {
 		if mv > v {
-			sel += f
+			sel += st.MCVs[mv]
 		}
 	}
 	// P(hist > v) = 1 − P(hist < v) − P(hist = v); the point mass inside the
